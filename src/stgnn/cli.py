@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, StgnnError
 from .evaluation import ExperimentConfig, HyperGrid, run_experiment
 from .models import ModelSpec, build_model
 from .plots import write_roc_svg
-from .prep import load_manifest, window_adjacency, window_split
+from .prep import build_samples, load_manifest
 from .synth import SynthConfig, generate_dataset
 
 PREPROCESSED_MAGIC = b"STGP"
@@ -148,9 +148,9 @@ def cmd_preprocess(args) -> int:
     }
     body = bytearray()
     count = 0
-    for record in records:
-        for window in window_split(record, windows_per_scan):
-            adjacency = window_adjacency(window, args.threshold)
+    for record in records:  # one subject at a time: only the payload grows
+        for sample in build_samples([record], windows_per_scan, args.threshold):
+            window, adjacency = sample.window, sample.adjacency
             sid = window.subject_id.encode("utf-8")
             body += struct.pack("<H", len(sid)) + sid
             body += struct.pack("<HHB", window.scan_index, window.window_index, window.label)

@@ -20,9 +20,8 @@ from .autodiff import Tensor
 from .errors import ConfigError, HarnessError, MetricError
 from .models import ModelSpec, bce_loss, build_model
 from .nn import Adam, Linear
-from .prep import (GraphSample, SubjectRecord, balance_by_subject, load_manifest,
-                   stack_samples, threshold_edges, window_adjacency,
-                   window_correlation, window_split)
+from .prep import (GraphSample, SubjectRecord, balance_by_subject, build_samples,
+                   load_manifest, stack_samples, threshold_edges, window_correlation)
 
 
 def derived_rng(*parts: int) -> np.random.Generator:
@@ -142,6 +141,9 @@ def compute_metrics(scores, labels, threshold: float = 0.5) -> MetricReport:
     """AUC by the rank statistic (ties count one half), sensitivity and
     specificity at the probability cut, and one ROC point per distinct score."""
     scores = np.asarray(scores, dtype=np.float64)
+    # NaN never equals itself, so the tie loops of the ranks and the ROC sweep would not advance
+    if not np.all(np.isfinite(scores)):
+        raise MetricError("scores must be finite to compute metrics")
     labels = np.asarray(labels)
     positive = labels == 1
     n_pos = int(positive.sum())
@@ -487,11 +489,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         else:
             spec = replace(spec, windows_per_scan=config.windows_per_scan)
 
-    samples: list[GraphSample] = []
-    for record in records:
-        for window in window_split(record, config.windows_per_scan):
-            samples.append(GraphSample(window=window,
-                                       adjacency=window_adjacency(window, config.threshold_percent)))
+    # only graph models read an adjacency; the baseline builds its own correlations
+    threshold = config.threshold_percent if spec is not None and spec.needs_graph else None
+    samples = build_samples(records, config.windows_per_scan, threshold)
     plan = plan_folds(samples, k=config.k_folds, seed=config.seed)
 
     if is_baseline:
@@ -541,16 +541,14 @@ def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
     features, adjacency, labels, subjects = stack_samples(samples)
     n_nodes = features.shape[1]
     input_length = features.shape[2]
-    needs_graph = spec.use_gcn or spec.pooling == "diffpool"
-    adj = adjacency if needs_graph else None
 
     jobs = []
     points = config.grid.points()
     for fold in range(plan.k):
         assert_no_leakage(plan, fold)
-        train_data = _fold_arrays(features, adj, labels, subjects,
+        train_data = _fold_arrays(features, adjacency, labels, subjects,
                                   plan.inner_subjects(fold, "train"))
-        val_data = _fold_arrays(features, adj, labels, subjects,
+        val_data = _fold_arrays(features, adjacency, labels, subjects,
                                 plan.inner_subjects(fold, "val"))
         for index, point in enumerate(points):
             jobs.append({"fold": fold, "index": index, "point": point,
@@ -576,7 +574,7 @@ def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
                                     seed=derived_seed(config.seed, fold, winner.index)),
                             n_nodes, input_length)
         model.load_state_dict(winner.outcome.state)
-        test_data = _fold_arrays(features, adj, labels, subjects, plan.test_subjects(fold))
+        test_data = _fold_arrays(features, adjacency, labels, subjects, plan.test_subjects(fold))
         scores = predict_scores(model, test_data[0], test_data[1])
         metrics = compute_metrics(scores, test_data[2])
         reports.append(FoldReport(

@@ -53,6 +53,11 @@ class ModelSpec:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
 
+    @property
+    def needs_graph(self) -> bool:
+        """Whether the variant reads a per-sample adjacency."""
+        return self.use_gcn or self.pooling == "diffpool"
+
     def name(self) -> str:
         if self.pooling == "diffpool":
             parts = [f"diff{self.threshold_percent}", self.encoder.upper()]
@@ -158,8 +163,7 @@ class GraphClassifier(Module):
         if n != self.n_nodes or t != self.input_length:
             raise ShapeError(f"expected (*, {self.n_nodes}, {self.input_length}) features; "
                              f"got {features.shape}")
-        needs_graph = self.spec.use_gcn or self.spec.pooling == "diffpool"
-        if needs_graph:
+        if self.spec.needs_graph:
             if adjacency is None:
                 raise ShapeError("this variant needs an adjacency batch")
             adjacency = np.asarray(adjacency)

@@ -57,8 +57,10 @@ class AdjacencyMatrix:
 
 @dataclass
 class GraphSample:
+    """A window plus its adjacency; None for models that never read a graph."""
+
     window: SampleWindow
-    adjacency: AdjacencyMatrix
+    adjacency: AdjacencyMatrix | None
 
     @property
     def features(self) -> np.ndarray:
@@ -77,41 +79,40 @@ class GraphSample:
 
 
 def robust_scale(series: np.ndarray) -> np.ndarray:
-    """(x - median) / IQR with linear-interpolation quartiles.
+    """(x - median) / IQR along the last axis, with linear-interpolation quartiles.
 
-    A degenerate IQR of zero maps the series to all zeros.
+    Every 1D slice along the last axis is scaled on its own, so a stack of
+    windows scales in one call. A slice whose IQR is zero maps to all zeros.
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 1 or series.size == 0:
-        raise ContractError("robust_scale expects a non-empty 1D series")
-    median = np.quantile(series, 0.5)
-    q1, q3 = np.quantile(series, [0.25, 0.75])
+    if series.ndim == 0 or series.size == 0:
+        raise ContractError("robust_scale expects non-empty series along the last axis")
+    q1, median, q3 = np.quantile(series, [0.25, 0.5, 0.75], axis=-1, keepdims=True)
     iqr = q3 - q1
-    if iqr == 0.0:
-        return np.zeros_like(series)
-    return (series - median) / iqr
+    degenerate = iqr == 0.0
+    return np.where(degenerate, 0.0, (series - median) / np.where(degenerate, 1.0, iqr))
 
 
 def window_split(record: SubjectRecord, windows_per_scan: int) -> list[SampleWindow]:
     """Cut every session into contiguous non-overlapping windows.
 
     Each window is transposed to nodes x timesteps and robust-scaled per
-    node, so samples are self-contained.
+    node, so samples are self-contained. A session's windows are scaled
+    together as one windows x nodes x timesteps stack.
     """
     if windows_per_scan < 1:
         raise ConfigError("windows_per_scan must be >= 1")
     out: list[SampleWindow] = []
     for scan_index, session in enumerate(record.sessions):
-        length = session.shape[0]
+        length, n_nodes = session.shape
         if length % windows_per_scan != 0:
             raise ConfigError(
                 f"session length {length} is not divisible by windows_per_scan={windows_per_scan}")
-        width = length // windows_per_scan
-        for w in range(windows_per_scan):
-            block = session[w * width:(w + 1) * width, :].T  # nodes x timesteps
-            scaled = np.vstack([robust_scale(row) for row in block]).astype(np.float32)
-            out.append(SampleWindow(subject_id=record.subject_id, scan_index=scan_index,
-                                    window_index=w, label=record.label, features=scaled))
+        blocks = session.reshape(windows_per_scan, length // windows_per_scan, n_nodes)
+        scaled = robust_scale(blocks.transpose(0, 2, 1)).astype(np.float32, order="C")
+        out.extend(SampleWindow(subject_id=record.subject_id, scan_index=scan_index,
+                                window_index=w, label=record.label, features=scaled[w])
+                   for w in range(windows_per_scan))
     return out
 
 
@@ -207,22 +208,36 @@ def balance_by_subject(records: list[SubjectRecord], seed: int) -> list[SubjectR
     return [rec for idx, rec in enumerate(records) if idx not in dropped]
 
 
-def prepare_graph_samples(records: list[SubjectRecord], windows_per_scan: int,
-                          threshold_percent: float, balance_seed: int) -> list[GraphSample]:
-    """Full preprocessing: balance, window, scale, per-window adjacency."""
-    balanced = balance_by_subject(records, seed=balance_seed)
+def build_samples(records: list[SubjectRecord], windows_per_scan: int,
+                  threshold_percent: float | None) -> list[GraphSample]:
+    """Window and scale every record; give each window its own adjacency
+    unless ``threshold_percent`` is None."""
     samples: list[GraphSample] = []
-    for record in balanced:
+    for record in records:
         for window in window_split(record, windows_per_scan):
-            samples.append(GraphSample(window=window,
-                                       adjacency=window_adjacency(window, threshold_percent)))
+            adjacency = (None if threshold_percent is None
+                         else window_adjacency(window, threshold_percent))
+            samples.append(GraphSample(window=window, adjacency=adjacency))
     return samples
 
 
-def stack_samples(samples: list[GraphSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Stack a homogeneous sample list into (features, adjacency, labels, subjects)."""
+def prepare_graph_samples(records: list[SubjectRecord], windows_per_scan: int,
+                          threshold_percent: float, balance_seed: int) -> list[GraphSample]:
+    """Full preprocessing: balance, window, scale, per-window adjacency."""
+    return build_samples(balance_by_subject(records, seed=balance_seed), windows_per_scan,
+                         threshold_percent)
+
+
+def stack_samples(samples: list[GraphSample]
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[str]]:
+    """Stack a homogeneous sample list into (features, adjacency, labels, subjects).
+
+    The adjacency stack is None when the samples carry no adjacency.
+    """
     features = np.stack([s.features for s in samples]).astype(np.float32)
-    adjacency = np.stack([s.adjacency.dense for s in samples]).astype(np.float32)
+    adjacency = None
+    if samples[0].adjacency is not None:
+        adjacency = np.stack([s.adjacency.dense for s in samples]).astype(np.float32)
     labels = np.array([s.label for s in samples], dtype=np.float32)
     subjects = [s.subject_id for s in samples]
     return features, adjacency, labels, subjects
@@ -247,10 +262,11 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path: Path) -> np.ndarray:
+    """Read a binary or CSV timeseries matrix; every cell must be finite."""
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == MAGIC:
+        binary = fh.read(4) == MAGIC
+        if binary:
             version, = struct.unpack("<H", fh.read(2))
             if version != BINARY_VERSION:
                 raise DataError(f"unsupported matrix file version {version} in {path}")
@@ -258,12 +274,20 @@ def read_matrix(path: Path) -> np.ndarray:
             payload = fh.read(rows * cols * 4)
             if len(payload) != rows * cols * 4:
                 raise DataError(f"truncated matrix file {path}")
-            return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
-    try:
-        matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"cannot parse {path} as CSV timeseries: {exc}") from None
-    return matrix.astype(np.float32)
+            matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
+    if not binary:
+        try:
+            matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"cannot parse {path} as CSV timeseries: {exc}") from None
+        with np.errstate(over="ignore"):  # out-of-range cells become inf, rejected below
+            matrix = matrix.astype(np.float32)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        row, col = bad[0]
+        raise DataError(f"{path}: non-finite value {matrix[row, col]} at row {row + 1}, "
+                        f"column {col + 1} (counting from 1)")
+    return matrix
 
 
 def write_manifest(path: Path, n_nodes: int, subjects: list[dict]) -> None:
@@ -286,6 +310,7 @@ def load_manifest(path: Path) -> list[SubjectRecord]:
     n_nodes = int(doc["n_nodes"])
     base = path.parent
     records: list[SubjectRecord] = []
+    first: tuple[str, int] | None = None  # (path, timesteps) of the first session
     for entry in doc["subjects"]:
         for key in ("id", "label", "sessions"):
             if key not in entry:
@@ -297,6 +322,10 @@ def load_manifest(path: Path) -> list[SubjectRecord]:
             matrix = read_matrix(base / rel)
             if matrix.shape[1] != n_nodes:
                 raise DataError(f"{rel}: expected {n_nodes} columns, found {matrix.shape[1]}")
+            first = first or (rel, matrix.shape[0])
+            if matrix.shape[0] != first[1]:
+                raise DataError(f"{rel}: {matrix.shape[0]} timesteps, but {first[0]} has "
+                                f"{first[1]}; every session must have the same length")
             sessions.append(matrix)
         records.append(SubjectRecord(subject_id=str(entry["id"]), label=int(entry["label"]),
                                      sessions=sessions))

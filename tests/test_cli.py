@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from stgnn.cli import load_preprocessed, main
-from stgnn.prep import load_manifest
+from stgnn.prep import load_manifest, write_manifest, write_matrix_csv
 
 
 def run_cli(*argv):
@@ -125,6 +126,44 @@ def test_run_missing_manifest_fails_cleanly(tmp_path, capsys):
     assert run_cli("run", "--data", tmp_path / "nope.json", "--out", tmp_path) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError"
+
+
+def _csv_dataset(root, lengths, bad_cell=None):
+    """Two subjects with one CSV session each, of the given lengths."""
+    rng = np.random.default_rng(0)
+    subjects = []
+    for index, length in enumerate(lengths):
+        matrix = rng.normal(size=(length, 3)).astype(np.float32)
+        if index == 1 and bad_cell is not None:
+            matrix[bad_cell] = np.nan
+        write_matrix_csv(root / f"s{index}.csv", matrix)
+        subjects.append({"id": f"s{index}", "label": index % 2, "sessions": [f"s{index}.csv"]})
+    write_manifest(root / "manifest.json", n_nodes=3, subjects=subjects)
+    return root / "manifest.json"
+
+
+def _run_error(manifest, out, capsys):
+    code = run_cli("run", "--data", manifest, "--model", "logreg", "--folds", 2,
+                   "--out", out)
+    captured = capsys.readouterr().err
+    return code, json.loads(captured)
+
+
+def test_run_rejects_non_finite_cell_with_error_json(tmp_path, capsys):
+    manifest = _csv_dataset(tmp_path, [16, 16], bad_cell=(6, 2))
+    code, err = _run_error(manifest, tmp_path / "out", capsys)
+    assert code == 1
+    assert err["error"] == "DataError"
+    assert "s1.csv" in err["message"] and "row 7, column 3" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
+    manifest = _csv_dataset(tmp_path, [16, 12])
+    code, err = _run_error(manifest, tmp_path / "out", capsys)
+    assert code == 1
+    assert err["error"] == "DataError"
+    assert "s1.csv: 12 timesteps, but s0.csv has 16" in err["message"]
 
 
 def test_run_config_file_merges_under_flags(dataset, tmp_path):

@@ -9,6 +9,7 @@ from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
                               compute_metrics, default_batch_size, flat_correlation_features,
                               grid_search, plan_folds, run_experiment, select_grid_winner,
                               GridRecord, TrainOutcome)
+from stgnn import prep
 from stgnn.models import ModelSpec
 from stgnn.prep import AdjacencyMatrix, GraphSample, SampleWindow, prepare_graph_samples
 from stgnn.synth import SynthConfig, generate, generate_dataset
@@ -164,6 +165,13 @@ def test_roc_endpoints_and_monotonicity():
 def test_metrics_require_both_classes():
     with pytest.raises(MetricError):
         compute_metrics([0.1, 0.9], [1, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite_scores(bad):
+    # a NaN score once made the tie loops spin forever, since NaN != NaN
+    with pytest.raises(MetricError, match="finite"):
+        compute_metrics([0.2, bad, 0.7, 0.4], [0, 1, 1, 0])
 
 
 # grid machinery --------------------------------------------------------------------
@@ -386,3 +394,27 @@ def test_select_final_epoch_keeps_last_state(tiny_manifest):
     # best-epoch selection reports the minimum of the curve instead
     for report in best["folds"]:
         assert report["best_val_loss"] == min(report["val_curve"])
+
+
+@pytest.mark.parametrize("model,per_window", [
+    ("logreg", 1), ("mean_CNN_GCN5", 1), ("mean_CNN", 0)])
+def test_ledoit_wolf_runs_once_per_window_that_needs_it(tiny_manifest, monkeypatch,
+                                                         model, per_window):
+    calls = {"ledoit_wolf": 0, "windows": 0}
+    ledoit_wolf, window_split = prep.ledoit_wolf_covariance, prep.window_split
+
+    def counted_ledoit_wolf(data):
+        calls["ledoit_wolf"] += 1
+        return ledoit_wolf(data)
+
+    def counted_window_split(record, windows_per_scan):
+        windows = window_split(record, windows_per_scan)
+        calls["windows"] += len(windows)
+        return windows
+
+    monkeypatch.setattr(prep, "ledoit_wolf_covariance", counted_ledoit_wolf)
+    monkeypatch.setattr(prep, "window_split", counted_window_split)
+    run_experiment(tiny_config(tiny_manifest, model=model, threshold_percent=5,
+                               grid=HyperGrid.fast(epochs=1, batch_size=8)))
+    assert calls["windows"] == 16  # 8 subjects x 2 sessions
+    assert calls["ledoit_wolf"] == per_window * calls["windows"]

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stgnn.errors import ConfigError, ContractError, DataError
-from stgnn.prep import (SubjectRecord, balance_by_subject,
+from stgnn.prep import (SubjectRecord, balance_by_subject, build_samples,
                         covariance_to_correlation, ledoit_wolf_covariance, load_manifest,
-                        prepare_graph_samples, read_matrix, robust_scale, threshold_edges,
-                        window_adjacency, window_split, write_manifest, write_matrix_binary,
-                        write_matrix_csv)
+                        prepare_graph_samples, read_matrix, robust_scale, stack_samples,
+                        threshold_edges, window_adjacency, window_split, write_manifest,
+                        write_matrix_binary, write_matrix_csv)
 
 
 # robust scaling -----------------------------------------------------------------
@@ -36,6 +38,18 @@ def test_robust_scale_output_statistics():
 def test_robust_scale_empty_raises():
     with pytest.raises(ContractError):
         robust_scale(np.array([]))
+    with pytest.raises(ContractError):
+        robust_scale(np.zeros((3, 0)))
+
+
+def test_robust_scale_scales_each_row_of_a_stack_on_its_own():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, 4, 9))
+    stack[1, 2] = 5.0  # constant row
+    out = robust_scale(stack)
+    for index in np.ndindex(stack.shape[:-1]):
+        np.testing.assert_array_equal(out[index], robust_scale(stack[index]))
+    np.testing.assert_array_equal(out[1, 2], np.zeros(9))
 
 
 # windowing ---------------------------------------------------------------------
@@ -71,7 +85,67 @@ def test_window_split_is_a_partition():
     for w in windows:
         raw_block = session[w.window_index * 4:(w.window_index + 1) * 4, :].T
         expected = np.vstack([robust_scale(row) for row in raw_block])
-        np.testing.assert_allclose(w.features, expected.astype(np.float32), rtol=1e-6)
+        np.testing.assert_array_equal(w.features, expected.astype(np.float32))
+
+
+def reference_window_split(record, windows_per_scan):
+    """Per-row scaling with one np.quantile call per statistic, window by window."""
+    out = []
+    for session in record.sessions:
+        width = session.shape[0] // windows_per_scan
+        for w in range(windows_per_scan):
+            rows = []
+            for row in session[w * width:(w + 1) * width, :].T.astype(np.float64):
+                median = np.quantile(row, 0.5)
+                q1, q3 = np.quantile(row, [0.25, 0.75])
+                iqr = q3 - q1
+                rows.append(np.zeros_like(row) if iqr == 0.0 else (row - median) / iqr)
+            out.append(np.vstack(rows).astype(np.float32))
+    return out
+
+
+# few distinct values make ties and zero-IQR windows common
+_cells = st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
+                   st.floats(-1e3, 1e3, allow_nan=False, width=32))
+
+
+@st.composite
+def _records(draw):
+    windows_per_scan = draw(st.sampled_from([1, 2, 4, 16]))
+    width = draw(st.integers(1, 9))
+    nodes = draw(st.integers(1, 4))
+    n_sessions = draw(st.integers(1, 2))
+    data = draw(arrays(np.float32, (n_sessions, windows_per_scan * width, nodes),
+                       elements=_cells))
+    constant = draw(st.integers(0, nodes - 1))
+    data[:, :, constant] = draw(_cells)
+    return SubjectRecord("s", 0, list(data)), windows_per_scan
+
+
+@settings(max_examples=150, deadline=None)
+@given(_records())
+def test_window_split_matches_per_row_reference_bytes(case):
+    record, windows_per_scan = case
+    windows = window_split(record, windows_per_scan)
+    expected = reference_window_split(record, windows_per_scan)
+    assert len(windows) == len(expected)
+    for window, ref in zip(windows, expected):
+        assert window.features.dtype == np.float32
+        assert window.features.flags.c_contiguous
+        assert window.features.shape == ref.shape
+        assert window.features.tobytes() == ref.tobytes()
+
+
+def test_window_split_zero_iqr_window_scales_to_zeros():
+    session = np.zeros((16, 2), dtype=np.float32)
+    session[:, 1] = np.tile(np.arange(8), 2)
+    session[5, 0] = 9.0  # a spike: window 0 of node 0 is not constant, but its IQR is zero
+    windows = window_split(SubjectRecord("s", 0, [session]), windows_per_scan=2)
+    np.testing.assert_array_equal(windows[0].features[0], np.zeros(8))
+    np.testing.assert_array_equal(windows[1].features[0], np.zeros(8))
+    expected = ((np.arange(8) - 3.5) / 3.5).astype(np.float32)  # quartiles 1.75, 3.5, 5.25
+    np.testing.assert_array_equal(windows[0].features[1], expected)
+    np.testing.assert_array_equal(windows[1].features[1], expected)
 
 
 def test_window_split_rejects_indivisible_length():
@@ -284,6 +358,17 @@ def test_prepare_graph_samples_end_to_end():
         np.testing.assert_array_equal(sample.adjacency.dense, sample.adjacency.dense.T)
 
 
+def test_build_samples_without_threshold_has_no_adjacency():
+    records = [_record(n_sessions=2, length=32, nodes=4, label=i % 2, sid=f"s{i}", seed=i)
+               for i in range(2)]
+    samples = build_samples(records, windows_per_scan=2, threshold_percent=None)
+    assert len(samples) == 8
+    assert all(sample.adjacency is None for sample in samples)
+    features, adjacency, labels, subjects = stack_samples(samples)
+    assert features.shape == (8, 4, 16) and adjacency is None
+    assert labels.tolist() == [0] * 4 + [1] * 4 and subjects[-1] == "s1"
+
+
 # file formats -------------------------------------------------------------------
 
 
@@ -333,3 +418,30 @@ def test_read_matrix_rejects_garbage(tmp_path):
     (tmp_path / "bad.csv").write_text("not,a;number\n")
     with pytest.raises(DataError):
         read_matrix(tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_matrix_rejects_non_finite_cells(tmp_path, fmt, value):
+    matrix = np.ones((5, 3), dtype=np.float32)
+    matrix[3, 1] = value
+    path = tmp_path / f"m.{fmt}"
+    (write_matrix_csv if fmt == "csv" else write_matrix_binary)(path, matrix)
+    with pytest.raises(DataError, match=r"m\.%s.*row 4, column 2" % fmt):
+        read_matrix(path)
+
+
+def test_read_matrix_rejects_csv_values_beyond_float32(tmp_path):
+    (tmp_path / "big.csv").write_text("1,2\n3,1e39\n")
+    with pytest.raises(DataError, match="row 2, column 2"):
+        read_matrix(tmp_path / "big.csv")
+
+
+def test_manifest_rejects_ragged_sessions(tmp_path):
+    write_matrix_binary(tmp_path / "a.bin", np.zeros((16, 3), dtype=np.float32))
+    write_matrix_binary(tmp_path / "b.bin", np.zeros((12, 3), dtype=np.float32))
+    write_manifest(tmp_path / "manifest.json", n_nodes=3,
+                   subjects=[{"id": "x", "label": 0, "sessions": ["a.bin"]},
+                             {"id": "y", "label": 1, "sessions": ["b.bin"]}])
+    with pytest.raises(DataError, match="b.bin: 12 timesteps, but a.bin has 16"):
+        load_manifest(tmp_path / "manifest.json")
