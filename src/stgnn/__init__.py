@@ -8,8 +8,8 @@ harness, all on a self-contained numpy autodiff core.
 
 from .autodiff import Tensor, default_dtype, get_default_dtype, set_default_dtype
 from .evaluation import (ExperimentConfig, FoldPlan, HyperGrid, baseline_flat_correlation,
-                         compute_metrics, grid_search, plan_folds, run_experiment)
-from .models import GraphClassifier, ModelSpec, bce_loss, build_model, parameter_count
+                         compute_metrics, plan_folds, run_experiment)
+from .models import GraphClassifier, ModelSpec, bce_loss, build_model
 from .prep import (AdjacencyMatrix, GraphSample, SampleWindow, SubjectRecord,
                    balance_by_subject, covariance_to_correlation, ledoit_wolf_covariance,
                    load_manifest, prepare_graph_samples, robust_scale, threshold_edges,
@@ -23,8 +23,8 @@ __all__ = [
     "HyperGrid", "ModelSpec", "SampleWindow", "SubjectRecord", "SynthConfig", "Tensor",
     "balance_by_subject", "baseline_flat_correlation", "bce_loss", "build_model",
     "compute_metrics", "covariance_to_correlation", "default_dtype", "generate",
-    "generate_dataset", "get_default_dtype", "grid_search", "ledoit_wolf_covariance",
-    "load_manifest", "parameter_count", "plan_folds", "prepare_graph_samples",
+    "generate_dataset", "get_default_dtype", "ledoit_wolf_covariance",
+    "load_manifest", "plan_folds", "prepare_graph_samples",
     "robust_scale", "run_experiment", "set_default_dtype", "threshold_edges",
     "window_split",
 ]

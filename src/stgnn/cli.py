@@ -14,6 +14,7 @@ import os
 import struct
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from .prep import build_samples, load_manifest
 from .synth import SynthConfig, generate_dataset
 
 PREPROCESSED_MAGIC = b"STGP"
-FAST_GRID = {"dropout": 0.0, "lr": 1e-3, "weight_decay": 0.0, "batch_size": 32}
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -239,25 +239,13 @@ def load_run_config(path: Path) -> dict:
 
 def _results_grid(args) -> HyperGrid:
     if args.grid_fast:
-        grid = HyperGrid.fast(dropout=FAST_GRID["dropout"],
-                              lr=args.lr if args.lr is not None else FAST_GRID["lr"],
-                              weight_decay=FAST_GRID["weight_decay"],
-                              batch_size=FAST_GRID["batch_size"])
+        grid = HyperGrid.fast() if args.lr is None else HyperGrid.fast(lr=args.lr)
     else:
         if args.lr is not None:
             raise ConfigError("--lr only applies together with --grid-fast")
         grid = HyperGrid()
-    updates = {}
-    if args.epochs is not None:
-        updates["epochs"] = args.epochs
-    if args.batch_size is not None:
-        updates["batch_size"] = args.batch_size
-    if updates:
-        grid = HyperGrid(dropouts=grid.dropouts, learning_rates=grid.learning_rates,
-                         weight_decays=grid.weight_decays,
-                         epochs=updates.get("epochs", grid.epochs),
-                         batch_size=updates.get("batch_size", grid.batch_size))
-    return grid
+    overrides = {"epochs": args.epochs, "batch_size": args.batch_size}
+    return replace(grid, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_run(args) -> int:

@@ -9,6 +9,7 @@ can appear on both sides of any split.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -203,10 +204,6 @@ class HyperGrid:
         return [HyperPoint(d, lr, wd) for d, lr, wd in
                 itertools.product(self.dropouts, self.learning_rates, self.weight_decays)]
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.dropouts) * len(self.learning_rates) * len(self.weight_decays)
-
     @classmethod
     def fast(cls, dropout: float = 0.0, lr: float = 1e-3, weight_decay: float = 0.0,
              epochs: int = 30, batch_size: int | None = 32) -> "HyperGrid":
@@ -340,7 +337,7 @@ def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
                         failed=False, link_curve=link_curve, entropy_curve=entropy_curve)
 
 
-# grid search -------------------------------------------------------------------------
+# grid selection ------------------------------------------------------------------------
 
 
 @dataclass
@@ -350,29 +347,9 @@ class GridRecord:
     outcome: TrainOutcome
 
 
-@dataclass
-class GridSearchResult:
-    selected_index: int
-    selected_point: HyperPoint
-    outcome: TrainOutcome
-    records: list[GridRecord]
-
-
-def _train_point(spec: ModelSpec, n_nodes: int, input_length: int, train_data,
-                 val_data, grid: HyperGrid, point: HyperPoint, seed: int,
-                 fold: int, index: int, link_weight: float, entropy_weight: float,
-                 select_final_epoch: bool) -> TrainOutcome:
-    settings = TrainSettings(lr=point.lr, weight_decay=point.weight_decay,
-                             dropout=point.dropout, epochs=grid.epochs,
-                             batch_size=grid.batch_size or default_batch_size(spec),
-                             link_weight=link_weight, entropy_weight=entropy_weight,
-                             select_final_epoch=select_final_epoch)
-    job_seed = derived_seed(seed, fold, index)
-    return train_classifier(spec, n_nodes, input_length, train_data, val_data,
-                            settings, seed=job_seed)
-
-
 def select_grid_winner(records: list[GridRecord]) -> GridRecord:
+    """The point with the lowest (best-epoch) validation loss; ties go to the
+    earlier point and failed points never win."""
     winner: GridRecord | None = None
     for record in records:
         if record.outcome.failed:
@@ -382,23 +359,6 @@ def select_grid_winner(records: list[GridRecord]) -> GridRecord:
     if winner is None:
         raise HarnessError("every grid point failed with non-finite loss")
     return winner
-
-
-def grid_search(spec: ModelSpec, n_nodes: int, input_length: int, train_data,
-                val_data, grid: HyperGrid, seed: int, fold: int = 0,
-                link_weight: float = 0.0, entropy_weight: float = 0.0,
-                select_final_epoch: bool = False) -> GridSearchResult:
-    """Train every grid point on the inner split and keep the one with the
-    lowest (best-epoch) validation loss; ties go to the earlier point."""
-    records = []
-    for index, point in enumerate(grid.points()):
-        outcome = _train_point(spec, n_nodes, input_length, train_data, val_data,
-                               grid, point, seed, fold, index,
-                               link_weight, entropy_weight, select_final_epoch)
-        records.append(GridRecord(index=index, point=point, outcome=outcome))
-    winner = select_grid_winner(records)
-    return GridSearchResult(selected_index=winner.index, selected_point=winner.point,
-                            outcome=winner.outcome, records=records)
 
 
 # experiment orchestration ---------------------------------------------------------------
@@ -473,6 +433,8 @@ def _fold_arrays(features, adjacency, labels, subjects, member_set):
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the full protocol and return the results document."""
     start_time = time.perf_counter()
+    if config.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1; got {config.jobs}")
     records = load_manifest(config.manifest)
     records = balance_by_subject(records, seed=derived_seed(config.seed, 0xBA1A))
     if config.permute_labels:
@@ -483,14 +445,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if not is_baseline:
         spec = ModelSpec.from_name(config.model, threshold_percent=config.threshold_percent,
                                    seed=config.seed)
+        # a threshold or a 64split suffix in the name wins over the flag
+        config = replace(config, threshold_percent=spec.threshold_percent)
         if spec.windows_per_scan == 16:
-            # a 64split suffix in the name wins over the flag
             config = replace(config, windows_per_scan=16)
         else:
             spec = replace(spec, windows_per_scan=config.windows_per_scan)
 
     # only graph models read an adjacency; the baseline builds its own correlations
-    threshold = config.threshold_percent if spec is not None and spec.needs_graph else None
+    threshold = spec.threshold_percent if spec is not None and spec.needs_graph else None
     samples = build_samples(records, config.windows_per_scan, threshold)
     plan = plan_folds(samples, k=config.k_folds, seed=config.seed)
 
@@ -542,32 +505,18 @@ def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
     n_nodes = features.shape[1]
     input_length = features.shape[2]
 
-    jobs = []
-    points = config.grid.points()
+    folds = []
     for fold in range(plan.k):
         assert_no_leakage(plan, fold)
-        train_data = _fold_arrays(features, adjacency, labels, subjects,
-                                  plan.inner_subjects(fold, "train"))
-        val_data = _fold_arrays(features, adjacency, labels, subjects,
-                                plan.inner_subjects(fold, "val"))
-        for index, point in enumerate(points):
-            jobs.append({"fold": fold, "index": index, "point": point,
-                         "train": train_data, "val": val_data})
+        folds.append(tuple(_fold_arrays(features, adjacency, labels, subjects,
+                                        plan.inner_subjects(fold, role))
+                           for role in ("train", "val")))
+    outcomes = _train_grid(folds, spec, n_nodes, input_length, config)
 
-    payloads = [(spec, n_nodes, input_length, config, job) for job in jobs]
-    results: dict[tuple[int, int], TrainOutcome] = {}
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for fold, index, outcome in pool.map(_job_entry, payloads):
-                results[(fold, index)] = outcome
-    else:
-        for payload in payloads:
-            fold, index, outcome = _job_entry(payload)
-            results[(fold, index)] = outcome
-
+    points = config.grid.points()
     reports = []
     for fold in range(plan.k):
-        records = [GridRecord(index=i, point=points[i], outcome=results[(fold, i)])
+        records = [GridRecord(index=i, point=points[i], outcome=outcomes[(fold, i)])
                    for i in range(len(points))]
         winner = select_grid_winner(records)
         model = build_model(replace(spec, dropout=winner.point.dropout,
@@ -590,13 +539,64 @@ def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
     return reports
 
 
-def _job_entry(payload):
-    spec, n_nodes, input_length, config, job = payload
-    outcome = _train_point(spec, n_nodes, input_length, job["train"], job["val"],
-                           config.grid, job["point"], config.seed, job["fold"],
-                           job["index"], config.link_weight, config.entropy_weight,
-                           config.select_final_epoch)
-    return job["fold"], job["index"], outcome
+# grid training ------------------------------------------------------------------------------
+
+# what a process needs to train any (fold, index) key; filled by _install_grid_context
+_grid_context: dict = {}
+
+
+def _install_grid_context(folds, spec: ModelSpec, n_nodes: int, input_length: int,
+                          config: ExperimentConfig, dtype_name: str) -> None:
+    """Hand a process everything its trainings read, once; pool workers run
+    this as their initializer, so tasks carry only (fold, index)."""
+    ad.set_default_dtype(dtype_name)
+    _grid_context.update(folds=folds, spec=spec, n_nodes=n_nodes,
+                         input_length=input_length, config=config)
+
+
+def _train_key(key: tuple[int, int]) -> TrainOutcome:
+    fold, index = key
+    ctx = _grid_context
+    config, spec = ctx["config"], ctx["spec"]
+    point = config.grid.points()[index]
+    settings = TrainSettings(lr=point.lr, weight_decay=point.weight_decay,
+                             dropout=point.dropout, epochs=config.grid.epochs,
+                             batch_size=config.grid.batch_size or default_batch_size(spec),
+                             link_weight=config.link_weight,
+                             entropy_weight=config.entropy_weight,
+                             select_final_epoch=config.select_final_epoch)
+    train_data, val_data = ctx["folds"][fold]
+    return train_classifier(spec, ctx["n_nodes"], ctx["input_length"], train_data, val_data,
+                            settings, seed=derived_seed(config.seed, fold, index))
+
+
+def _train_grid(folds, spec: ModelSpec, n_nodes: int, input_length: int,
+                config: ExperimentConfig) -> dict[tuple[int, int], TrainOutcome]:
+    """Train every grid point of every fold, serially or on at most
+    ``config.jobs`` worker processes; both run ``_train_key`` over the same keys.
+
+    Workers are spawned, not forked, so they inherit no state of this process:
+    the initializer's arguments are all they know.
+    """
+    keys = [(fold, index) for fold in range(len(folds))
+            for index in range(len(config.grid.points()))]
+    dtype_name = next(name for name, dtype in ad._DTYPES.items()
+                      if dtype is ad.get_default_dtype())
+    context = (folds, spec, n_nodes, input_length, config, dtype_name)
+    workers = min(config.jobs, len(keys))
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("spawn"),
+                                     initializer=_install_grid_context,
+                                     initargs=context) as pool:
+                outcomes = list(pool.map(_train_key, keys))
+        else:
+            _install_grid_context(*context)
+            outcomes = list(map(_train_key, keys))
+    finally:
+        _grid_context.clear()
+    return dict(zip(keys, outcomes))
 
 
 # baseline ---------------------------------------------------------------------------------

@@ -47,16 +47,6 @@ class GCNLayer(Module):
         return ad.relu(ad.add(ad.matmul(ad.matmul(operator, h), self.weight), self.bias))
 
 
-def gcn_forward(h, adjacency: np.ndarray, weight, bias) -> Tensor:
-    """Functional graph convolution from a raw binary adjacency."""
-    operator = Tensor(normalized_adjacency(adjacency), dtype=as_dtype(h))
-    return ad.relu(ad.add(ad.matmul(ad.matmul(operator, h), weight), bias))
-
-
-def as_dtype(value) -> np.dtype:
-    return value.data.dtype if isinstance(value, Tensor) else np.asarray(value).dtype
-
-
 def global_mean_pool(h) -> Tensor:
     """Average node features: (..., N, F) -> (..., F)."""
     return ad.tmean(h, axis=-2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -201,12 +201,6 @@ def bce_loss(probabilities: Tensor, labels) -> Tensor:
     return ad.neg(ad.tmean(ad.add(positive, negative)))
 
 
-def parameter_count(model: Module) -> int:
-    """Trainable scalars, including weight-norm gains and batchnorm affine
-    parameters, excluding running statistics."""
-    return model.parameter_count()
-
-
 # checkpoint serialization -----------------------------------------------------
 
 
@@ -214,7 +208,7 @@ def save_checkpoint(model: GraphClassifier, path: Path) -> None:
     """Single binary document: JSON header then named float32 buffers."""
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "spec": spec_to_dict(model.spec),
+        "spec": asdict(model.spec),
         "n_nodes": model.n_nodes,
         "input_length": model.input_length,
     }
@@ -258,19 +252,6 @@ def load_checkpoint(path: Path) -> GraphClassifier:
     model = build_model(spec, meta["n_nodes"], meta["input_length"])
     model.load_state_dict(state)
     return model
-
-
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "encoder": spec.encoder,
-        "use_gcn": spec.use_gcn,
-        "pooling": spec.pooling,
-        "threshold_percent": spec.threshold_percent,
-        "windows_per_scan": spec.windows_per_scan,
-        "embed_dim": spec.embed_dim,
-        "dropout": spec.dropout,
-        "seed": spec.seed,
-    }
 
 
 def spec_from_dict(doc: dict) -> ModelSpec:

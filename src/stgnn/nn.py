@@ -35,6 +35,8 @@ class Module:
                 yield name, value
 
     def parameter_count(self) -> int:
+        """Trainable scalars, including weight-norm gains and batchnorm affine
+        parameters, excluding running statistics."""
         return sum(p.data.size for _, p in self.named_parameters())
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -178,14 +178,13 @@ def threshold_edges(corr: np.ndarray, percent: float) -> AdjacencyMatrix:
     return AdjacencyMatrix(n_nodes=n, dense=dense, edges=edges)
 
 
-def window_adjacency(window: SampleWindow, percent: float) -> AdjacencyMatrix:
-    """Adjacency of one sample from its own (scaled) window."""
-    corr = covariance_to_correlation(ledoit_wolf_covariance(window.features.T))
-    return threshold_edges(corr, percent)
-
-
 def window_correlation(window: SampleWindow) -> np.ndarray:
     return covariance_to_correlation(ledoit_wolf_covariance(window.features.T))
+
+
+def window_adjacency(window: SampleWindow, percent: float) -> AdjacencyMatrix:
+    """Adjacency of one sample from its own (scaled) window."""
+    return threshold_edges(window_correlation(window), percent)
 
 
 # class balancing --------------------------------------------------------------

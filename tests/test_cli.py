@@ -166,6 +166,16 @@ def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
     assert "s1.csv: 12 timesteps, but s0.csv has 16" in err["message"]
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_rejects_jobs_below_one_with_error_json(dataset, tmp_path, capsys, jobs):
+    code = run_cli("run", "--data", dataset, "--model", "logreg", "--folds", 2,
+                   "--jobs", jobs, "--out", tmp_path / "out")
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "ConfigError" and "jobs" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_file_merges_under_flags(dataset, tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(

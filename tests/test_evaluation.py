@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from stgnn.errors import ConfigError, HarnessError, MetricError
+from stgnn import autodiff as ad
+from stgnn import evaluation, prep
 from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
                               assert_no_leakage, baseline_flat_correlation,
-                              compute_metrics, default_batch_size, flat_correlation_features,
-                              grid_search, plan_folds, run_experiment, select_grid_winner,
-                              GridRecord, TrainOutcome)
-from stgnn import prep
+                              compute_metrics, default_batch_size, derived_seed,
+                              flat_correlation_features, plan_folds, run_experiment,
+                              select_grid_winner, GridRecord, TrainOutcome)
 from stgnn.models import ModelSpec
 from stgnn.prep import AdjacencyMatrix, GraphSample, SampleWindow, prepare_graph_samples
 from stgnn.synth import SynthConfig, generate, generate_dataset
@@ -178,9 +179,7 @@ def test_metrics_reject_non_finite_scores(bad):
 
 
 def test_default_grid_has_27_points():
-    grid = HyperGrid()
-    assert grid.cardinality == 27
-    assert len(grid.points()) == 27
+    assert len(HyperGrid().points()) == 27
 
 
 def test_default_batch_sizes():
@@ -208,44 +207,6 @@ def test_select_grid_winner_all_failed_raises():
     records = [GridRecord(0, point, TrainOutcome(None, -1, np.inf, [], [], failed=True))]
     with pytest.raises(HarnessError):
         select_grid_winner(records)
-
-
-def separable_arrays(n_per_class=8, n_nodes=3, t=16, seed=0):
-    rng = np.random.default_rng(seed)
-    features, labels = [], []
-    for label in (0, 1):
-        for _ in range(n_per_class):
-            base = rng.normal(size=(n_nodes, t))
-            if label:
-                base += 2.0
-            features.append(base.astype(np.float32))
-            labels.append(label)
-    order = rng.permutation(len(labels))
-    x = np.stack(features)[order]
-    y = np.array(labels, dtype=np.float32)[order]
-    return (x, None, y)
-
-
-def test_grid_search_single_point_returns_it():
-    grid = HyperGrid.fast(lr=1e-2, epochs=2, batch_size=8)
-    spec = ModelSpec(encoder="cnn")
-    result = grid_search(spec, 3, 16, separable_arrays(seed=1), separable_arrays(seed=2),
-                         grid, seed=0)
-    assert result.selected_index == 0
-    assert result.selected_point == HyperPoint(0.0, 1e-2, 0.0)
-
-
-def test_grid_search_selects_lowest_validation_loss():
-    grid = HyperGrid(dropouts=(0.0,), learning_rates=(1e-2, 1e-7), weight_decays=(0.0,),
-                     epochs=3, batch_size=8)
-    spec = ModelSpec(encoder="cnn")
-    result = grid_search(spec, 3, 16, separable_arrays(seed=3), separable_arrays(seed=4),
-                         grid, seed=0)
-    best = result.records[result.selected_index].outcome.best_val_loss
-    for record in result.records:
-        if not record.outcome.failed:
-            assert best <= record.outcome.best_val_loss
-    assert result.selected_point.lr == 1e-2  # the learnable point wins
 
 
 # baseline ----------------------------------------------------------------------------
@@ -336,11 +297,123 @@ def test_run_experiment_baseline_path(tiny_manifest):
     assert doc["folds"][0]["hyperparameters"]["binarize"] is True
 
 
+# a learnable and an effectively frozen learning rate
+TWO_POINT_GRID = HyperGrid(dropouts=(0.0,), learning_rates=(1e-2, 1e-7), weight_decays=(0.0,),
+                           epochs=3, batch_size=8)
+
+
+def test_run_experiment_single_point_grid_selects_it(tiny_manifest):
+    doc = run_experiment(tiny_config(tiny_manifest, grid=HyperGrid.fast(lr=1e-2, epochs=2,
+                                                                        batch_size=8)))
+    for report in doc["folds"]:
+        assert report["hyperparameters"] == HyperPoint(0.0, 1e-2, 0.0).to_dict()
+
+
+def test_run_experiment_selects_lowest_validation_loss(tiny_manifest, monkeypatch):
+    trained = {}
+    train_classifier = evaluation.train_classifier
+
+    def recording_train_classifier(spec, n_nodes, input_length, train_data, val_data,
+                                   settings, seed):
+        outcome = train_classifier(spec, n_nodes, input_length, train_data, val_data,
+                                   settings, seed)
+        trained[seed] = (settings.lr, outcome.best_val_loss)
+        return outcome
+
+    monkeypatch.setattr(evaluation, "train_classifier", recording_train_classifier)
+    config = tiny_config(tiny_manifest, grid=TWO_POINT_GRID)
+    doc = run_experiment(config)
+    assert len(trained) == 4  # 2 folds x 2 grid points, one training each
+    for report in doc["folds"]:
+        # (lr, loss) per grid point, in grid order; the first of equal losses wins
+        by_point = [trained[derived_seed(config.seed, report["fold"], index)]
+                    for index in range(2)]
+        assert [lr for lr, _ in by_point] == [1e-2, 1e-7]
+        lr, loss = min(by_point, key=lambda entry: entry[1])
+        assert (report["hyperparameters"]["lr"], report["best_val_loss"]) == (lr, loss)
+
+
 def test_run_experiment_parallel_matches_sequential(tiny_manifest):
-    seq = run_experiment(tiny_config(tiny_manifest))
-    par = run_experiment(tiny_config(tiny_manifest, jobs=2))
-    seq["wall_clock_seconds"] = par["wall_clock_seconds"] = None
-    assert seq == par
+    cases = [
+        ("mean_CNN", "f32", {}),
+        # adjacency crosses the process boundary, two trainings per fold
+        ("mean_CNN_GCN20", "f32", {"grid": TWO_POINT_GRID}),
+        # workers must run in the caller's dtype
+        ("mean_CNN", "f64", {}),
+    ]
+    for model, precision, overrides in cases:
+        with ad.default_dtype(precision):
+            seq = run_experiment(tiny_config(tiny_manifest, model=model, **overrides))
+            par = run_experiment(tiny_config(tiny_manifest, model=model, jobs=2, **overrides))
+        seq["wall_clock_seconds"] = par["wall_clock_seconds"] = None
+        assert seq == par, (model, precision)
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: runs the initializer and every
+    task in this process and records what the pool was given."""
+
+    def __init__(self, pools: list, max_workers: int, mp_context, initializer, initargs):
+        pools.append(self)
+        self.max_workers = max_workers
+        self.start_method = mp_context.get_start_method()
+        self.tasks: list = []
+        ad.set_default_dtype("f32")  # what a fresh interpreter would start with
+        initializer(*initargs)
+        self.dtype = ad.get_default_dtype()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, keys):
+        keys = list(keys)
+        self.tasks.extend(keys)
+        return map(fn, keys)
+
+
+def test_pool_is_capped_at_the_trainings_and_gets_fold_index_tasks(tiny_manifest,
+                                                                    monkeypatch):
+    pools: list[RecordingPool] = []
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor",
+                        lambda **kwargs: RecordingPool(pools, **kwargs))
+    with ad.default_dtype("f64"):
+        par = run_experiment(tiny_config(tiny_manifest, grid=TWO_POINT_GRID, jobs=64))
+        seq = run_experiment(tiny_config(tiny_manifest, grid=TWO_POINT_GRID))
+    (pool,) = pools
+    assert pool.max_workers == 4  # 2 folds x 2 grid points
+    assert pool.start_method == "spawn"  # workers inherit nothing but the initializer's data
+    assert pool.tasks == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert pool.dtype is np.float64
+    par["wall_clock_seconds"] = seq["wall_clock_seconds"] = None
+    assert par == seq
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_experiment_rejects_jobs_below_one(tiny_manifest, jobs):
+    with pytest.raises(ConfigError, match="jobs must be at least 1"):
+        run_experiment(tiny_config(tiny_manifest, jobs=jobs))
+
+
+@pytest.mark.parametrize("model,flag,percent", [("mean_CNN_GCN5", 20, 5),
+                                                ("diff20_CNN", 5, 20)])
+def test_threshold_in_model_name_builds_and_reports_the_graphs(tiny_manifest, monkeypatch,
+                                                               model, flag, percent):
+    received = set()
+    window_adjacency = prep.window_adjacency
+
+    def recording_window_adjacency(window, threshold_percent):
+        received.add(threshold_percent)
+        return window_adjacency(window, threshold_percent)
+
+    monkeypatch.setattr(prep, "window_adjacency", recording_window_adjacency)
+    doc = run_experiment(tiny_config(tiny_manifest, model=model, threshold_percent=flag,
+                                     grid=HyperGrid.fast(epochs=1, batch_size=8)))
+    assert received == {percent}
+    assert doc["config"]["model"] == model
+    assert doc["config"]["threshold_percent"] == percent
 
 
 def test_run_experiment_gcn_variant(tiny_manifest):

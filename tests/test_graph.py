@@ -9,8 +9,7 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.errors import ConfigError, ContractError
 from stgnn.graph import (DiffPoolLevel, DiffPoolStack, GCNLayer, GraphSAGELayer,
-                         SageTower, cluster_schedule, gcn_forward, global_mean_pool,
-                         normalized_adjacency)
+                         SageTower, cluster_schedule, global_mean_pool, normalized_adjacency)
 
 
 def ring(n):
@@ -52,13 +51,19 @@ def test_normalized_adjacency_rejects_self_loops():
         normalized_adjacency(np.eye(2))
 
 
+def gcn_layer(weight, bias) -> GCNLayer:
+    layer = GCNLayer(len(bias), np.random.default_rng(0))
+    layer.weight, layer.bias = Tensor(weight), Tensor(bias)
+    return layer
+
+
 def test_gcn_isolated_node_reduces_to_dense_layer():
     rng = np.random.default_rng(0)
-    w = Tensor(rng.normal(size=(4, 4)))
-    b = Tensor(rng.normal(size=4))
+    w = rng.normal(size=(4, 4))
+    b = rng.normal(size=4)
     h = Tensor(rng.normal(size=(1, 4)))
-    out = gcn_forward(h, np.zeros((1, 1)), w, b)
-    expected = np.maximum(h.numpy() @ w.numpy() + b.numpy(), 0)
+    out = gcn_layer(w, b)(h, Tensor(normalized_adjacency(np.zeros((1, 1)))))
+    expected = np.maximum(h.numpy() @ w.astype(np.float32) + b.astype(np.float32), 0)
     np.testing.assert_allclose(out.numpy(), expected, rtol=1e-6)
 
 
@@ -66,8 +71,8 @@ def test_gcn_complete_graph_averages_rows():
     n = 5
     rng = np.random.default_rng(1)
     h = Tensor(np.abs(rng.normal(size=(n, 3))))
-    a = 1.0 - np.eye(n)
-    out = gcn_forward(h, a, Tensor(np.eye(3)), Tensor(np.zeros(3)))
+    operator = Tensor(normalized_adjacency(1.0 - np.eye(n)))
+    out = gcn_layer(np.eye(3), np.zeros(3))(h, operator)
     mean_row = h.numpy().mean(axis=0)
     np.testing.assert_allclose(out.numpy(), np.tile(mean_row, (n, 1)), rtol=1e-6)
 

@@ -9,8 +9,7 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.encoders import encoder_lengths
 from stgnn.errors import ConfigError, ShapeError
-from stgnn.models import (ModelSpec, bce_loss, build_model, load_checkpoint,
-                          parameter_count, save_checkpoint)
+from stgnn.models import ModelSpec, bce_loss, build_model, load_checkpoint, save_checkpoint
 from stgnn.nn import Adam
 
 
@@ -91,15 +90,16 @@ def test_same_seed_gives_identical_parameters():
 
 
 def test_parameter_count_oracles():
-    assert parameter_count(build_model(ModelSpec.from_name("mean_CNN"), 50, 1200)) == 1_248_545
-    assert parameter_count(build_model(ModelSpec.from_name("mean_CNN_GCN5"), 50, 1200)) == 1_314_337
-    assert parameter_count(build_model(ModelSpec.from_name("mean_CNN"), 50, 75)) == 101_665
+    assert build_model(ModelSpec.from_name("mean_CNN"), 50, 1200).parameter_count() == 1_248_545
+    gcn = build_model(ModelSpec.from_name("mean_CNN_GCN5"), 50, 1200)
+    assert gcn.parameter_count() == 1_314_337
+    assert build_model(ModelSpec.from_name("mean_CNN"), 50, 75).parameter_count() == 101_665
 
 
 @pytest.mark.parametrize("t", [75, 160, 320, 1200])
 def test_gcn_delta_is_constant(t):
-    plain = parameter_count(build_model(ModelSpec.from_name("mean_CNN"), 50, t))
-    gcn = parameter_count(build_model(ModelSpec.from_name("mean_CNN_GCN5"), 50, t))
+    plain = build_model(ModelSpec.from_name("mean_CNN"), 50, t).parameter_count()
+    gcn = build_model(ModelSpec.from_name("mean_CNN_GCN5"), 50, t).parameter_count()
     assert gcn - plain == 65_792
 
 
@@ -107,7 +107,7 @@ def test_gcn_delta_is_constant(t):
 def test_mean_cnn_count_formula(t):
     final_len = encoder_lengths(t, causal=False)[-1]
     expected = 19_232 + (64 * final_len) * 256 + 256 + 257
-    assert parameter_count(build_model(ModelSpec.from_name("mean_CNN"), 50, t)) == expected
+    assert build_model(ModelSpec.from_name("mean_CNN"), 50, t).parameter_count() == expected
 
 
 def test_head_parameter_count():
