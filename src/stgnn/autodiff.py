@@ -183,11 +183,16 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add ``grad`` into ``t.grad``. A ``fresh`` gradient was allocated by the
+    caller, which keeps no other use of it, so it becomes ``t.grad`` uncopied."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(grad, dtype=t.data.dtype)
+        if fresh and grad.dtype == t.data.dtype:
+            t.grad = grad
+        else:
+            t.grad = np.array(grad, dtype=t.data.dtype)
     else:
         t.grad += grad
 
@@ -468,6 +473,18 @@ def conv_output_length(length: int, kernel: int, stride: int, pad_total: int, di
     return (length + pad_total - dilation * (kernel - 1) - 1) // stride + 1
 
 
+def _taps(length: int, kernel: int, stride: int, dilation: int, pad_left: int, l_out: int):
+    """For each kernel tap k that reads real input (not padding): k, the output
+    steps that read it, and the input positions they read, in order."""
+    for k in range(kernel):
+        offset = k * dilation - pad_left  # input position read by output step 0
+        first = max(0, -(offset // stride))
+        stop = min(l_out, (length - 1 - offset) // stride + 1)
+        if stop > first:
+            start = first * stride + offset
+            yield k, slice(first, stop), slice(start, start + (stop - first - 1) * stride + 1, stride)
+
+
 def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
            causal: bool = False) -> Tensor:
     """1D convolution over (batch, channels, length) input.
@@ -475,12 +492,17 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
     ``padding`` is symmetric when an int, or an explicit (left, right) pair.
     ``causal=True`` overrides it with a left-only pad of (kernel-1)*dilation,
     so output position t never sees inputs mapped after t.
+
+    The work runs channel-major: each pass is one GEMM against the
+    (C_in*K, B*L_out) columns of the input (zero where a tap reads padding),
+    and the output is a (B, C_out, L_out) view of a (C_out, B, L_out) array,
+    so a following per-channel reduction reads contiguous memory.
     """
     x = as_tensor(x)
     weight = as_tensor(weight, like=x)
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError("conv1d expects input (B, C_in, L) and weight (C_out, C_in, K)")
-    _, c_in, length = x.data.shape
+    batch, c_in, length = x.data.shape
     c_out, c_in_w, kernel = weight.data.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, weight expects {c_in_w}")
@@ -492,40 +514,48 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
         pad_left, pad_right = padding
     else:
         pad_left = pad_right = int(padding)
+    if pad_left < 0 or pad_right < 0:
+        raise ContractError(f"conv1d padding must be non-negative; got ({pad_left}, {pad_right})")
     l_out = conv_output_length(length, kernel, stride, pad_left + pad_right, dilation)
     if l_out <= 0:
         raise GeometryError(f"conv1d output length {l_out} for L={length}, K={kernel}, "
                             f"stride={stride}, pad=({pad_left},{pad_right}), dilation={dilation}")
-    span = (kernel - 1) * dilation + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, span, axis=2)[:, :, ::stride, ::dilation]
-    out = np.einsum("bcls,ocs->bol", windows, weight.data, optimize=True)
+    taps = list(_taps(length, kernel, stride, dilation, pad_left, l_out))
+
+    def columns() -> np.ndarray:
+        cols = np.zeros((c_in, kernel, batch, l_out), dtype=x.data.dtype)
+        x_cm = x.data.swapaxes(0, 1)
+        for k, steps, positions in taps:
+            cols[:, k, :, steps] = x_cm[:, :, positions]
+        return cols.reshape(c_in * kernel, batch * l_out)
+
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    out = w2 @ columns()
 
     b_t = None
     if bias is not None:
         b_t = as_tensor(bias, like=x)
         if b_t.data.shape != (c_out,):
             raise ShapeError(f"conv1d bias must have shape ({c_out},)")
-        out = out + b_t.data[None, :, None]
+        out += b_t.data[:, None]
 
     parents = (x, weight) if b_t is None else (x, weight, b_t)
 
     def backward_fn(g):
+        g2 = g.swapaxes(0, 1).reshape(c_out, batch * l_out)
         if weight.requires_grad:
-            _accumulate(weight, np.einsum("bol,bcls->ocs", g, windows, optimize=True))
+            # rebuilt rather than kept: the columns are K times the input
+            _accumulate(weight, (g2 @ columns().T).reshape(c_out, c_in, kernel), fresh=True)
         if b_t is not None and b_t.requires_grad:
-            _accumulate(b_t, g.sum(axis=(0, 2)))
+            _accumulate(b_t, g2.sum(axis=1), fresh=True)
         if x.requires_grad:
-            grad_pad = np.zeros_like(xp)
-            spread = np.einsum("bol,ocs->bcls", g, weight.data, optimize=True)
-            for k in range(kernel):
-                start = k * dilation
-                stop = start + stride * (l_out - 1) + 1
-                grad_pad[:, :, start:stop:stride] += spread[:, :, :, k]
-            end = xp.shape[2] - pad_right
-            _accumulate(x, grad_pad[:, :, pad_left:end])
+            spread = (w2.T @ g2).reshape(c_in, kernel, batch, l_out)
+            grad = np.zeros((c_in, batch, length), dtype=spread.dtype)
+            for k, steps, positions in taps:
+                grad[:, :, positions] += spread[:, k, :, steps]
+            _accumulate(x, grad.swapaxes(0, 1), fresh=True)
 
-    return _make(out, parents, backward_fn)
+    return _make(out.reshape(c_out, batch, l_out).swapaxes(0, 1), parents, backward_fn)
 
 
 def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
@@ -533,56 +563,64 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     """Per-channel normalization over batch (and time, for 3D input).
 
     Train mode uses batch statistics and updates the running buffers in
-    place; eval mode normalizes with the running statistics.
+    place; eval mode normalizes with the running statistics. The work runs
+    on (C, values) rows, which are contiguous when the input is the
+    channel-major output of ``conv1d``.
     """
     x = as_tensor(x)
     gamma = as_tensor(gamma, like=x)
     beta = as_tensor(beta, like=x)
-    if x.data.ndim == 2:
-        axes: tuple[int, ...] = (0,)
-    elif x.data.ndim == 3:
-        axes = (0, 2)
-    else:
+    if x.data.ndim not in (2, 3):
         raise ShapeError("batchnorm1d expects (B, C) or (B, C, L) input")
     channels = x.data.shape[1]
     if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
         raise ShapeError(f"gamma/beta must have shape ({channels},)")
-
-    def chan(v: np.ndarray) -> np.ndarray:
-        return v.reshape((1, channels) + (1,) * (x.data.ndim - 2))
-
-    count = int(np.prod([x.data.shape[ax] for ax in axes]))
+    # (C, B[, L]) -> (C, count): a view for channel-major input and for 2D input
+    layout = x.data.swapaxes(0, 1).shape
+    rows = x.data.swapaxes(0, 1).reshape(channels, -1)
+    count = rows.shape[1]
     if train:
         if count < 2:
             raise ContractError("batch statistics need at least two values per channel")
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mu = rows.mean(axis=1)
+        xhat = rows - mu[:, None]
+        out = np.square(xhat)  # holds the squares, then the output
+        var = out.mean(axis=1)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var * (count / (count - 1))
     else:
-        mu = running_mean
         var = running_var
+        xhat = rows - running_mean[:, None]
+        out = np.empty_like(xhat)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - chan(mu)) * chan(inv)
-    out = chan(gamma.data) * xhat + chan(beta.data)
+    xhat *= inv[:, None]
+    np.multiply(xhat, gamma.data[:, None], out=out)
+    out += beta.data[:, None]
 
     def backward_fn(g):
+        g_rows = g.swapaxes(0, 1).reshape(channels, -1)
+        # the two reductions every gradient is built from
+        sum_g = g_rows.sum(axis=1)
+        gx = np.multiply(g_rows, xhat)
+        sum_gx = gx.sum(axis=1)
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=axes))
+            _accumulate(gamma, sum_gx, fresh=True)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=axes))
+            _accumulate(beta, sum_g, fresh=True)
         if x.requires_grad:
-            gx_hat = g * chan(gamma.data)
+            scale = (gamma.data * inv)[:, None]
             if train:
-                centered = gx_hat - gx_hat.mean(axis=axes, keepdims=True) \
-                    - xhat * (gx_hat * xhat).mean(axis=axes, keepdims=True)
-                _accumulate(x, centered * chan(inv))
+                np.multiply(xhat, (-sum_gx / count)[:, None], out=gx)
+                gx += g_rows
+                gx -= (sum_g / count)[:, None]
+                gx *= scale
             else:
-                _accumulate(x, gx_hat * chan(inv))
+                np.multiply(g_rows, scale, out=gx)
+            _accumulate(x, gx.reshape(layout).swapaxes(0, 1), fresh=True)
 
-    return _make(out, (x, gamma, beta), backward_fn)
+    return _make(out.reshape(layout).swapaxes(0, 1), (x, gamma, beta), backward_fn)
 
 
 def weight_norm(direction, gain, eps: float = 1e-12) -> Tensor:

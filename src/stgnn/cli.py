@@ -61,8 +61,6 @@ def _parse_bool(value: str) -> bool:
 def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=Path("."))
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f32")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = run_parser = sub.add_parser("run", help="cross-validated training and evaluation")
     _add_shared(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the fold x grid-point trainings")
+    p.add_argument("--precision", choices=("f32", "f64"), default="f32")
     p.add_argument("--config", type=Path, default=None,
                    help="key-value file merged under explicit flags")
     p.add_argument("--data", type=Path, default=None, help="manifest path")

@@ -8,8 +8,10 @@ can appear on both sides of any split.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -246,6 +248,8 @@ class TrainOutcome:
     failed: bool
     link_curve: list[float] = field(default_factory=list)
     entropy_curve: list[float] = field(default_factory=list)
+    failed_epoch: int = -1  # the epoch a failed training stopped in
+    failure: str = ""  # why it failed
 
 
 def _batch_loss(model, features, adjacency, labels, settings: TrainSettings,
@@ -310,7 +314,9 @@ def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
             loss, aux = _batch_loss(model, tr_x[idx], adj, tr_y[idx], settings, train=True)
             value = loss.item()
             if not np.isfinite(value):
-                return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True)
+                return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True,
+                                    failed_epoch=epoch,
+                                    failure=f"non-finite training loss at batch start {start}")
             model.zero_grad()
             loss.backward()
             optimizer.step()
@@ -323,7 +329,8 @@ def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
         val_loss = evaluate_loss(model, va_x, va_a, va_y, settings)
         val_curve.append(val_loss)
         if not np.isfinite(val_loss):
-            return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True)
+            return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True,
+                                failed_epoch=epoch, failure="non-finite validation loss")
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
@@ -357,7 +364,11 @@ def select_grid_winner(records: list[GridRecord]) -> GridRecord:
         if winner is None or record.outcome.best_val_loss < winner.outcome.best_val_loss:
             winner = record
     if winner is None:
-        raise HarnessError("every grid point failed with non-finite loss")
+        reasons = "; ".join(
+            f"point {r.index} {r.point.to_dict()}: "
+            f"{r.outcome.failure or 'non-finite loss'} in epoch {r.outcome.failed_epoch}"
+            for r in records)
+        raise HarnessError(f"every grid point failed: {reasons}")
     return winner
 
 
@@ -570,6 +581,32 @@ def _train_key(key: tuple[int, int]) -> TrainOutcome:
                             settings, seed=derived_seed(config.seed, fold, index))
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _spawn_pool(workers: int, initializer=None, initargs=()):
+    """A pool of ``workers`` spawned processes that share this process's
+    cores: each gets ``cores // workers`` BLAS threads (at least one), so the
+    pool does not run more BLAS threads than cores.
+
+    Workers read the thread variables when they import numpy, so they are
+    set before the pool starts and taken back after it has closed; a variable
+    that is already set is left as it is.
+    """
+    threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
+    added = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
+    os.environ.update({name: threads for name in added})
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=initializer, initargs=initargs) as pool:
+            yield pool
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
 def _train_grid(folds, spec: ModelSpec, n_nodes: int, input_length: int,
                 config: ExperimentConfig) -> dict[tuple[int, int], TrainOutcome]:
     """Train every grid point of every fold, serially or on at most
@@ -586,10 +623,7 @@ def _train_grid(folds, spec: ModelSpec, n_nodes: int, input_length: int,
     workers = min(config.jobs, len(keys))
     try:
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=multiprocessing.get_context("spawn"),
-                                     initializer=_install_grid_context,
-                                     initargs=context) as pool:
+            with _spawn_pool(workers, _install_grid_context, context) as pool:
                 outcomes = list(pool.map(_train_key, keys))
         else:
             _install_grid_context(*context)

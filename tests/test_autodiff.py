@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gradcheck import TOLERANCE, gradcheck, random_projection_loss
 
@@ -99,6 +100,106 @@ def test_conv1d_gradients(kwargs):
         assert gradcheck(loss, [x, w, b]) < TOLERANCE
 
 
+# conv1d against a direct nested loop ---------------------------------------------
+
+# the float64_mode fixture holds for every example of a test
+PROPERTY = settings(max_examples=120, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def reference_conv1d(x, w, b, g, stride, pad_left, pad_right, dilation):
+    """Output and the x, W, b gradients of sum(out * g), one product at a time."""
+    batch, c_in, length = x.shape
+    c_out, _, kernel = w.shape
+    l_out = conv_output_length(length, kernel, stride, pad_left + pad_right, dilation)
+    out = np.zeros((batch, c_out, l_out))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for n in range(batch):
+        for o in range(c_out):
+            for t in range(l_out):
+                out[n, o, t] = b[o]
+                for c in range(c_in):
+                    for k in range(kernel):
+                        i = t * stride + k * dilation - pad_left
+                        if 0 <= i < length:
+                            out[n, o, t] += w[o, c, k] * x[n, c, i]
+                            gx[n, c, i] += w[o, c, k] * g[n, o, t]
+                            gw[o, c, k] += x[n, c, i] * g[n, o, t]
+    return out, gx, gw, g.sum(axis=(0, 2))
+
+
+@st.composite
+def conv_cases(draw):
+    kernel = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    dilation = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["int", "tuple", "causal"]))
+    if mode == "int":
+        padding = draw(st.integers(0, 3))
+        pads = (padding, padding)
+    elif mode == "tuple":
+        padding = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+        pads = padding
+    else:
+        padding = 0
+        pads = ((kernel - 1) * dilation, 0)
+    span = (kernel - 1) * dilation + 1
+    length = draw(st.integers(max(1, span - sum(pads)), span - sum(pads) + 12))
+    return {
+        "shape": (draw(st.integers(1, 3)), draw(st.sampled_from([1, 1, 2, 3])), length),
+        "c_out": draw(st.integers(1, 3)), "kernel": kernel,
+        "kwargs": {"stride": stride, "dilation": dilation, "padding": padding,
+                   "causal": mode == "causal"},
+        "pads": pads, "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _conv_inputs(case):
+    rng = np.random.default_rng(case["seed"])
+    batch, c_in, length = case["shape"]
+    x = rng.normal(size=(batch, c_in, length))
+    w = rng.normal(size=(case["c_out"], c_in, case["kernel"]))
+    return x, w, rng.normal(size=case["c_out"])
+
+
+def _conv_with_grads(x_data, w_data, b_data, kwargs, g=None):
+    x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
+    out = ad.conv1d(x, w, b, **kwargs)
+    if g is None:
+        g = np.random.default_rng(0).normal(size=out.shape)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    return out.numpy(), x.grad, w.grad, b.grad, g
+
+
+@PROPERTY
+@given(conv_cases())
+def test_conv1d_matches_nested_loop_reference(case):
+    x, w, b = _conv_inputs(case)
+    out, gx, gw, gb, g = _conv_with_grads(x, w, b, case["kwargs"])
+    expected = reference_conv1d(x, w, b, g, case["kwargs"]["stride"], *case["pads"],
+                                case["kwargs"]["dilation"])
+    for got, want in zip((out, gx, gw, gb), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+@PROPERTY
+@given(conv_cases())
+def test_conv1d_transposed_view_input_matches_contiguous(case):
+    x, w, b = _conv_inputs(case)
+    view = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)  # channel-major memory
+    assert not view.flags.c_contiguous or min(x.shape[:2]) == 1
+    contiguous = _conv_with_grads(x, w, b, case["kwargs"])
+    strided = _conv_with_grads(view, w, b, case["kwargs"], g=contiguous[-1])
+    for got, want in zip(strided, contiguous):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv1d_rejects_negative_padding():
+    with pytest.raises(ContractError):
+        ad.conv1d(Tensor(np.zeros((1, 1, 8))), Tensor(np.zeros((1, 1, 3))), padding=(-1, 2))
+
+
 # batchnorm ---------------------------------------------------------------------
 
 
@@ -157,6 +258,84 @@ def test_batchnorm_gradients(train):
         loss = random_projection_loss(
             lambda: ad.batchnorm1d(x, gamma, beta, rm, rv, train=train), rng)
         assert gradcheck(loss, [x, gamma, beta]) < TOLERANCE
+
+
+# batchnorm1d against the textbook formulas -----------------------------------------
+
+
+def reference_batchnorm1d(x, gamma, beta, rm, rv, g, train, eps=1e-5, momentum=0.1):
+    """Ioffe & Szegedy (2015): output, x/gamma/beta gradients of sum(out * g) by
+    the chain rule through the batch mean and variance, and the new buffers."""
+    axes = (0,) if x.ndim == 2 else (0, 2)
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    n = x.size // x.shape[1]
+    if train:
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        rm = (1 - momentum) * rm + momentum * mu
+        rv = (1 - momentum) * rv + momentum * var * n / (n - 1)
+    else:
+        mu, var = rm, rv
+    std = np.sqrt(var + eps).reshape(shape)
+    centered = x - mu.reshape(shape)
+    xhat = centered / std
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    dxhat = g * gamma.reshape(shape)
+    if train:
+        dvar = (dxhat * centered).sum(axis=axes) * -0.5 * (var + eps) ** -1.5
+        dmu = (-dxhat / std).sum(axis=axes) + dvar * (-2.0 * centered).mean(axis=axes)
+        gx = dxhat / std + dvar.reshape(shape) * 2.0 * centered / n + dmu.reshape(shape) / n
+    else:
+        gx = dxhat / std
+    return out, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes), rm, rv
+
+
+@st.composite
+def batchnorm_cases(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = (draw(st.integers(2, 5)), draw(st.integers(1, 4)))
+    if ndim == 3:
+        shape += (draw(st.integers(1, 6)),)
+    return {"shape": shape, "train": draw(st.booleans()),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+def _bn_inputs(case):
+    rng = np.random.default_rng(case["seed"])
+    channels = case["shape"][1]
+    return (rng.normal(1.0, 2.0, size=case["shape"]), rng.normal(size=channels),
+            rng.normal(size=channels), rng.normal(size=channels),
+            rng.uniform(0.5, 2.0, size=channels))
+
+
+def _bn_with_grads(x_data, gamma_data, beta_data, rm, rv, train, g=None):
+    x, gamma, beta = (Tensor(a, requires_grad=True) for a in (x_data, gamma_data, beta_data))
+    out = ad.batchnorm1d(x, gamma, beta, rm, rv, train=train)
+    if g is None:
+        g = np.random.default_rng(1).normal(size=out.shape)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    return out.numpy(), x.grad, gamma.grad, beta.grad, rm, rv, g
+
+
+@PROPERTY
+@given(batchnorm_cases())
+def test_batchnorm_matches_textbook_formulas(case):
+    x, gamma, beta, rm, rv = _bn_inputs(case)
+    got = _bn_with_grads(x, gamma, beta, rm.copy(), rv.copy(), case["train"])
+    expected = reference_batchnorm1d(x, gamma, beta, rm, rv, got[-1], case["train"])
+    for value, want in zip(got, expected):
+        np.testing.assert_allclose(value, want, rtol=1e-9, atol=1e-9)
+
+
+@PROPERTY
+@given(batchnorm_cases())
+def test_batchnorm_transposed_view_input_matches_contiguous(case):
+    x, gamma, beta, rm, rv = _bn_inputs(case)
+    view = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)  # channel-major memory
+    contiguous = _bn_with_grads(x, gamma, beta, rm.copy(), rv.copy(), case["train"])
+    strided = _bn_with_grads(view, gamma, beta, rm.copy(), rv.copy(), case["train"],
+                             g=contiguous[-1])
+    for got, want in zip(strided, contiguous):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # weight norm -------------------------------------------------------------------

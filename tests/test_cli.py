@@ -166,6 +166,17 @@ def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
     assert "s1.csv: 12 timesteps, but s0.csv has 16" in err["message"]
 
 
+@pytest.mark.parametrize("flag,value", [("--jobs", 2), ("--jobs", 0), ("--precision", "f64")])
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_only_run_takes_jobs_and_precision(dataset, tmp_path, capsys, command, flag, value):
+    argv = {"synth": ["synth", "--subjects", 4, "--nodes", 5, "--length", 32],
+            "preprocess": ["preprocess", "--data", dataset]}[command]
+    with pytest.raises(SystemExit) as caught:
+        run_cli(*argv, "--out", tmp_path / "out", flag, value)
+    assert caught.value.code != 0
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_run_rejects_jobs_below_one_with_error_json(dataset, tmp_path, capsys, jobs):
     code = run_cli("run", "--data", dataset, "--model", "logreg", "--folds", 2,

@@ -1,7 +1,10 @@
 """Fold planning, metrics, grid search, baseline and experiment orchestration."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgnn.errors import ConfigError, HarnessError, MetricError
 from stgnn import autodiff as ad
@@ -10,8 +13,9 @@ from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
                               assert_no_leakage, baseline_flat_correlation,
                               compute_metrics, default_batch_size, derived_seed,
                               flat_correlation_features, plan_folds, run_experiment,
-                              select_grid_winner, GridRecord, TrainOutcome)
-from stgnn.models import ModelSpec
+                              select_grid_winner, train_classifier, GridRecord,
+                              TrainOutcome, TrainSettings)
+from stgnn.models import ModelSpec, bce_loss
 from stgnn.prep import AdjacencyMatrix, GraphSample, SampleWindow, prepare_graph_samples
 from stgnn.synth import SynthConfig, generate, generate_dataset
 
@@ -175,6 +179,35 @@ def test_metrics_reject_non_finite_scores(bad):
         compute_metrics([0.2, bad, 0.7, 0.4], [0, 1, 1, 0])
 
 
+@st.composite
+def scored_labels(draw):
+    """Both classes present; scores from a handful of values, so most tie."""
+    n = draw(st.integers(2, 40))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if len(set(labels)) == 1:
+        labels[0] = 1 - labels[0]
+    levels = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=4))
+    scores = [draw(st.sampled_from(levels)) for _ in range(n)]
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_labels())
+def test_auc_matches_pairwise_brute_force_under_heavy_ties(case):
+    scores, labels = case
+    assert compute_metrics(scores, labels).auc == pytest.approx(pairwise_auc(scores, labels),
+                                                               abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_labels(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_any_non_finite_score_raises(case, bad, data):
+    scores, labels = case
+    scores[data.draw(st.integers(0, len(scores) - 1))] = bad
+    with pytest.raises(MetricError, match="finite"):
+        compute_metrics(scores, labels)
+
+
 # grid machinery --------------------------------------------------------------------
 
 
@@ -207,6 +240,63 @@ def test_select_grid_winner_all_failed_raises():
     records = [GridRecord(0, point, TrainOutcome(None, -1, np.inf, [], [], failed=True))]
     with pytest.raises(HarnessError):
         select_grid_winner(records)
+
+
+def test_all_failed_error_names_every_point_and_its_reason():
+    failed = lambda epoch, why: TrainOutcome(None, -1, np.inf, [], [], failed=True,
+                                             failed_epoch=epoch, failure=why)
+    records = [GridRecord(0, HyperPoint(0.0, 1e-3, 0.0),
+                          failed(2, "non-finite training loss at batch start 8")),
+               GridRecord(1, HyperPoint(0.5, 1e-4, 0.0), failed(0, "non-finite validation loss"))]
+    with pytest.raises(HarnessError) as caught:
+        select_grid_winner(records)
+    message = str(caught.value)
+    assert "point 0 {'dropout': 0.0, 'lr': 0.001, 'weight_decay': 0.0}: " \
+           "non-finite training loss at batch start 8 in epoch 2" in message
+    assert "point 1 {'dropout': 0.5, 'lr': 0.0001, 'weight_decay': 0.0}: " \
+           "non-finite validation loss in epoch 0" in message
+
+
+def _tiny_training():
+    rng = np.random.default_rng(0)
+    labels = np.arange(12) % 2
+    data = (rng.normal(size=(12, 3, 16)).astype(np.float32), None, labels.astype(np.float32))
+    val = (data[0][:4], None, data[2][:4])
+    settings = TrainSettings(lr=1e-3, weight_decay=0.0, dropout=0.0, epochs=3, batch_size=4)
+    return train_classifier(ModelSpec(encoder="cnn"), 3, 16, data, val, settings, seed=1)
+
+
+def test_failed_training_records_epoch_and_batch_start(monkeypatch):
+    calls = []
+
+    def loss_that_turns_nan(probabilities, labels):
+        calls.append(None)  # 3 training batches and 1 validation pass per epoch
+        loss = bce_loss(probabilities, labels)
+        return ad.mul(loss, np.nan) if len(calls) == 6 else loss
+
+    monkeypatch.setattr(evaluation, "bce_loss", loss_that_turns_nan)
+    outcome = _tiny_training()
+    assert outcome.failed and outcome.state is None
+    assert (outcome.failed_epoch, outcome.failure) == (1, "non-finite training loss at batch start 4")
+    assert len(outcome.train_curve) == 1
+
+
+def test_failed_validation_records_epoch(monkeypatch):
+    losses = iter([0.7, np.nan])
+    monkeypatch.setattr(evaluation, "evaluate_loss", lambda *args, **kwargs: next(losses))
+    outcome = _tiny_training()
+    assert outcome.failed
+    assert (outcome.failed_epoch, outcome.failure) == (1, "non-finite validation loss")
+    assert outcome.val_curve[0] == 0.7 and np.isnan(outcome.val_curve[1])
+
+
+def test_training_that_diverges_everywhere_names_the_reason(tiny_manifest, monkeypatch):
+    monkeypatch.setattr(evaluation, "bce_loss",
+                        lambda probabilities, labels: ad.mul(bce_loss(probabilities, labels),
+                                                             np.inf))
+    with pytest.raises(HarnessError, match="every grid point failed: point 0 .*: non-finite "
+                                           "training loss at batch start 0 in epoch 0"):
+        run_experiment(tiny_config(tiny_manifest))
 
 
 # baseline ----------------------------------------------------------------------------
@@ -389,6 +479,18 @@ def test_pool_is_capped_at_the_trainings_and_gets_fold_index_tasks(tiny_manifest
     assert pool.dtype is np.float64
     par["wall_clock_seconds"] = seq["wall_clock_seconds"] = None
     assert par == seq
+
+
+def test_spawned_workers_share_the_cores_as_blas_threads(monkeypatch):
+    for name in evaluation.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # set by the user: left alone
+    before = dict(os.environ)
+    with evaluation._spawn_pool(2) as pool:
+        seen = list(pool.map(os.getenv, evaluation.BLAS_THREAD_VARIABLES))
+    share = str(max(1, len(os.sched_getaffinity(0)) // 2))
+    assert seen == [share, share, "3"]
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
