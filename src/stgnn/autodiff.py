@@ -393,11 +393,32 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes, broadcasting the leading ones.
+
+    When ``b`` is 2-D (a weight every sample shares), the leading axes of
+    ``a`` fold into rows, ``a.reshape(-1, K)``: the forward, the input
+    gradient ``g @ bᵀ`` and the weight gradient ``rowsᵀ @ g`` are one GEMM
+    each, and no per-sample weight-gradient stack is built. Products of two
+    stacks use numpy's broadcast matmul and sum the broadcast gradient back.
+    """
     a, b = _pair(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul expects operands with at least two dimensions")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2:
+        inner, cols = b.data.shape
+        data = (a.data.reshape(-1, inner) @ b.data).reshape(a.data.shape[:-1] + (cols,))
+
+        def fold_backward(g):
+            g2 = g.reshape(-1, cols)
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), fresh=True)
+            if b.requires_grad:
+                # rows rebuilt rather than kept: a copy when ``a`` is a strided view
+                _accumulate(b, a.data.reshape(-1, inner).T @ g2, fresh=True)
+
+        return _make(data, (a, b), fold_backward)
     data = a.data @ b.data
 
     def backward_fn(g):

@@ -320,6 +320,7 @@ def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
             model.zero_grad()
             loss.backward()
             optimizer.step()
+            del loss  # the tape dies here, not after the next step's forward
             epoch_loss += value * len(idx)
             for key in epoch_aux:
                 epoch_aux[key] += aux[key] * len(idx)

@@ -1,10 +1,13 @@
 """Primitive semantics and finite-difference gradient checks for the core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gradcheck import TOLERANCE, gradcheck, random_projection_loss
+from matmul_reference import reference_matmul
 
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor, conv_output_length
@@ -410,6 +413,102 @@ def test_dropout_invalid_rate():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+# matmul against a per-sample loop -------------------------------------------------
+
+# which operands require a gradient; with neither there is no tape to check
+GRAD_FLAGS = [(True, True), (True, False), (False, True)]
+
+
+@st.composite
+def stack_times_weight_cases(draw):
+    return {
+        "lead": tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))),  # rank 3 or 4
+        "n": draw(st.integers(1, 4)), "k": draw(st.integers(1, 4)), "m": draw(st.integers(1, 4)),
+        "transposed": draw(st.booleans()),
+        "upstream": draw(st.sampled_from(["dense", "broadcast"])),
+        "grads": draw(st.sampled_from(GRAD_FLAGS)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _matmul_with_grads(a_data, b_data, grads, g):
+    """Run matmul and hand its backward the upstream gradient ``g``."""
+    a = Tensor(a_data, requires_grad=grads[0])
+    b = Tensor(b_data, requires_grad=grads[1])
+    out = ad.matmul(a, b)
+    out._backward(g)
+    return out.numpy(), a.grad, b.grad
+
+
+def _assert_matches_reference(got, a_data, b_data, grads, g):
+    out, ga, gb = got
+    want_out, want_ga, want_gb = reference_matmul(a_data, b_data, g)
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    for flag, grad, want in zip(grads, (ga, gb), (want_ga, want_gb)):
+        if flag:
+            assert grad.shape == want.shape
+            np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert grad is None
+
+
+@PROPERTY
+@given(stack_times_weight_cases())
+def test_matmul_stack_times_weight_matches_per_sample_loop(case):
+    rng = np.random.default_rng(case["seed"])
+    lead, n, k = case["lead"], case["n"], case["k"]
+    a_data = rng.normal(size=lead + (n, k))
+    if case["transposed"]:  # the strided view transpose_last2 makes
+        a_data = np.ascontiguousarray(np.swapaxes(a_data, -1, -2)).swapaxes(-1, -2)
+        assert not a_data.flags.c_contiguous or min(n, k) == 1
+    b_data = rng.normal(size=(k, case["m"]))
+    out_shape = lead + (n, case["m"])
+    if case["upstream"] == "dense":
+        g = rng.normal(size=out_shape)
+    else:  # read-only, as tsum's backward hands it over
+        g = np.broadcast_to(rng.normal(size=out_shape[1:]), out_shape)
+    got = _matmul_with_grads(a_data, b_data, case["grads"], g)
+    _assert_matches_reference(got, a_data, b_data, case["grads"], g)
+
+
+# leading shapes of (a, b) off the stack-times-weight rule, and 2-D @ 2-D
+OTHER_LEADS = [((), ()), ((3,), (3,)), ((2, 3), (2, 3)), ((), (3,)), ((1,), (3,)),
+               ((3,), (1,)), ((2, 1), (3,))]
+
+
+@PROPERTY
+@given(st.sampled_from(OTHER_LEADS), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(GRAD_FLAGS), st.integers(0, 2**32 - 1))
+def test_matmul_other_shapes_match_per_sample_loop(leads, n, k, m, grads, seed):
+    rng = np.random.default_rng(seed)
+    a_data = rng.normal(size=leads[0] + (n, k))
+    b_data = rng.normal(size=leads[1] + (k, m))
+    g = rng.normal(size=np.broadcast_shapes(leads[0], leads[1]) + (n, m))
+    got = _matmul_with_grads(a_data, b_data, grads, g)
+    _assert_matches_reference(got, a_data, b_data, grads, g)
+    if leads == ((), ()):  # one GEMM per pass, as plain numpy computes it
+        out, ga, gb = got
+        assert out.tobytes() == (a_data @ b_data).tobytes()
+        assert grads[0] is False or ga.tobytes() == (g @ b_data.T).tobytes()
+        assert grads[1] is False or gb.tobytes() == (a_data.T @ g).tobytes()
+
+
+def test_matmul_weight_gradient_builds_no_per_sample_stack():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(32, 20, 256)))
+    w = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
+    out = ad.matmul(x, w)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (256, 256)
+    assert peak < 32 * 256 * 256 * w.data.itemsize
 
 
 # backward mechanics --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fold planning, metrics, grid search, baseline and experiment orchestration."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +265,31 @@ def _tiny_training():
     val = (data[0][:4], None, data[2][:4])
     settings = TrainSettings(lr=1e-3, weight_decay=0.0, dropout=0.0, epochs=3, batch_size=4)
     return train_classifier(ModelSpec(encoder="cnn"), 3, 16, data, val, settings, seed=1)
+
+
+def test_training_releases_each_step_tape_before_the_next_forward(monkeypatch):
+    build_model = evaluation.build_model
+    steps = []  # weak references to each training step's output probabilities
+
+    class Recording:
+        def __init__(self, model):
+            self.model = model
+
+        def __getattr__(self, name):
+            return getattr(self.model, name)
+
+        def __call__(self, features, adjacency, train):
+            if train and steps:
+                assert steps[-1]() is None, f"step {len(steps) - 1}'s tape is still alive"
+            probs, aux = self.model(features, adjacency, train=train)
+            if train:
+                steps.append(weakref.ref(probs.data))
+            return probs, aux
+
+    monkeypatch.setattr(evaluation, "build_model", lambda *args: Recording(build_model(*args)))
+    outcome = _tiny_training()
+    assert not outcome.failed
+    assert len(steps) == 9  # 3 epochs of 3 batches
 
 
 def test_failed_training_records_epoch_and_batch_start(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import TOLERANCE, gradcheck
+from matmul_reference import loop_matmul
 
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
@@ -244,3 +245,36 @@ def test_checkpoint_preserves_predictions(tmp_path):
     restored = load_checkpoint(tmp_path / "m.ckpt")
     actual, _ = restored(features, adj, train=False)
     np.testing.assert_array_equal(expected.numpy(), actual.numpy())
+
+
+# stacked matmul at model level ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["diff5_TCN", "mean_CNN_GCN5"])
+def test_models_agree_with_a_per_sample_loop_matmul(name, monkeypatch):
+    """One f64 forward and backward through the folded ``autodiff.matmul``
+    against the same model run through a per-sample-loop product."""
+
+    def loss_and_gradients():
+        model = build_model(ModelSpec.from_name(name, seed=2), 8, 32)
+        features, adj, labels = random_batch(4, 8, 32, seed=7)
+        probs, aux = model(features, adj, train=True)
+        loss = ad.add(bce_loss(probs, labels), ad.add(aux["link_loss"], aux["entropy_loss"]))
+        loss.backward()
+        return loss.item(), {key: p.grad for key, p in model.named_parameters()}
+
+    calls = []
+
+    def counted_loop_matmul(a, b):
+        calls.append(None)
+        return loop_matmul(a, b)
+
+    with ad.default_dtype("f64"):
+        folded_loss, folded = loss_and_gradients()
+        monkeypatch.setattr(ad, "matmul", counted_loop_matmul)
+        looped_loss, looped = loss_and_gradients()
+    assert calls
+    assert folded_loss == pytest.approx(looped_loss, rel=1e-12, abs=0)
+    assert folded.keys() == looped.keys()
+    for key, grad in looped.items():  # relative to the parameter's largest gradient
+        assert np.max(np.abs(folded[key] - grad)) <= 1e-12 * np.max(np.abs(grad)), key

@@ -1,5 +1,7 @@
 """Preprocessing: scaling, windowing, shrinkage correlation graphs, balancing, IO."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,19 @@ def test_window_split_rejects_indivisible_length():
         window_split(_record(length=10), windows_per_scan=3)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 16), st.integers(1, 3))
+def test_window_split_accepts_exactly_the_divisible_lengths(length, windows_per_scan, n_sessions):
+    record = _record(n_sessions=n_sessions, length=length, nodes=2)
+    if length % windows_per_scan:
+        with pytest.raises(ConfigError):
+            window_split(record, windows_per_scan)
+        return
+    windows = window_split(record, windows_per_scan)
+    assert len(windows) == n_sessions * windows_per_scan
+    assert all(w.features.shape == (2, length // windows_per_scan) for w in windows)
+
+
 def test_window_features_are_scaled_per_node():
     windows = window_split(_record(length=100, nodes=4), windows_per_scan=2)
     for w in windows:
@@ -304,6 +319,41 @@ def test_threshold_invariants_random():
         rebuilt[adj.edges[0], adj.edges[1]] = 1
         rebuilt[adj.edges[1], adj.edges[0]] = 1
         np.testing.assert_array_equal(rebuilt, adj.dense)
+
+
+@st.composite
+def _correlations(draw):
+    n = draw(st.integers(2, 60))
+    pairs = n * (n - 1) // 2
+    # few distinct magnitudes of either sign make ties common
+    values = draw(st.one_of(
+        arrays(np.float64, pairs, elements=st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.9, 0.9])),
+        arrays(np.float64, pairs, elements=st.floats(-1.0, 1.0))))
+    corr = np.eye(n)
+    ii, jj = np.triu_indices(n, k=1)
+    corr[ii, jj] = corr[jj, ii] = values
+    percent = draw(st.floats(0.0, 100.0, exclude_min=True))
+    return corr, percent
+
+
+@settings(max_examples=150, deadline=None)
+@given(_correlations())
+def test_threshold_edges_counts_symmetry_and_tie_break(case):
+    corr, percent = case
+    n = corr.shape[0]
+    adj = threshold_edges(corr, percent)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = math.floor(percent / 100 * len(pairs))
+    assert adj.n_edges == keep
+    # strongest |r| first, ties on ascending (i, j), in the order they were kept
+    expected = sorted(pairs, key=lambda p: (-abs(corr[p]), p))[:keep]
+    assert [tuple(e) for e in adj.edges.T.tolist()] == expected
+    np.testing.assert_array_equal(adj.dense, adj.dense.T)
+    np.testing.assert_array_equal(np.diag(adj.dense), 0)
+    rebuilt = np.zeros((n, n), dtype=adj.dense.dtype)
+    for i, j in expected:
+        rebuilt[i, j] = rebuilt[j, i] = 1
+    np.testing.assert_array_equal(adj.dense, rebuilt)
 
 
 def test_threshold_rejects_bad_percent():
