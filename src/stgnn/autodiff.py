@@ -2,9 +2,10 @@
 
 Results are computed eagerly while a tape of backward closures is recorded
 on the output tensors; ``Tensor.backward()`` replays the tape in reverse
-topological order. Training runs in float32; switch to float64 (see
-``default_dtype``) when comparing analytic gradients against central finite
-differences.
+topological order and consumes it as it goes. A forward that nothing will
+differentiate runs under ``no_tape()``, which records no tape. Training runs
+in float32; switch to float64 (see ``default_dtype``) when comparing
+analytic gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ContractError, GeometryError, ShapeError
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
-_state = {"dtype": np.float32}
+_state = {"dtype": np.float32, "tape": True}
 
 
 def set_default_dtype(name: str) -> None:
@@ -40,6 +41,25 @@ def default_dtype(name: str):
         yield
     finally:
         _state["dtype"] = previous
+
+
+class no_tape:
+    """Context manager that records no tape: results computed inside never
+    require a gradient, so each intermediate is freed as soon as its
+    consumer has run. It is a class because perfbench's tracer times every
+    public function of this module as a tape op."""
+
+    def __enter__(self) -> None:
+        self._previous = _state["tape"]
+        _state["tape"] = False
+
+    def __exit__(self, *exc_info) -> None:
+        _state["tape"] = self._previous
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """Stands in for the closure of a tape node that ``backward`` already ran."""
+    raise ContractError("tape already consumed")
 
 
 class Tensor:
@@ -82,7 +102,15 @@ class Tensor:
         return out
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor that requires it."""
+        """Populate ``grad`` on every reachable leaf that requires it.
+
+        The walk consumes the tape: once a node's closure has run, the node
+        drops its closure, its parents and its ``grad``, so each activation is
+        freed as soon as no closure still to run reads it. Afterwards only
+        the leaves and this loss hold a ``grad``, and the loss holds no
+        activations. A walk that reaches a consumed node raises
+        ``ContractError`` before running any closure.
+        """
         if self.data.size != 1:
             raise ContractError("backward() expects a scalar loss")
         if not self.requires_grad:
@@ -97,15 +125,22 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                raise ContractError("tape already consumed")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward = _consumed
+                node._parents = ()
+                if node is not self:
+                    node.grad = None
 
     # operator sugar -----------------------------------------------------
 
@@ -172,7 +207,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
+    if _state["tape"] and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

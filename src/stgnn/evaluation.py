@@ -267,21 +267,23 @@ def _batch_loss(model, features, adjacency, labels, settings: TrainSettings,
 def evaluate_loss(model, features, adjacency, labels, settings: TrainSettings,
                   chunk: int = 256) -> float:
     total = 0.0
-    for start in range(0, len(labels), chunk):
-        sl = slice(start, start + chunk)
-        adj = adjacency[sl] if adjacency is not None else None
-        loss, _ = _batch_loss(model, features[sl], adj, labels[sl], settings, train=False)
-        total += loss.item() * (min(start + chunk, len(labels)) - start)
+    with ad.no_tape():
+        for start in range(0, len(labels), chunk):
+            sl = slice(start, start + chunk)
+            adj = adjacency[sl] if adjacency is not None else None
+            loss, _ = _batch_loss(model, features[sl], adj, labels[sl], settings, train=False)
+            total += loss.item() * (min(start + chunk, len(labels)) - start)
     return total / len(labels)
 
 
 def predict_scores(model, features, adjacency, chunk: int = 256) -> np.ndarray:
     out = []
-    for start in range(0, len(features), chunk):
-        sl = slice(start, start + chunk)
-        adj = adjacency[sl] if adjacency is not None else None
-        probs, _ = model(features[sl], adj, train=False)
-        out.append(probs.numpy().copy())
+    with ad.no_tape():
+        for start in range(0, len(features), chunk):
+            sl = slice(start, start + chunk)
+            adj = adjacency[sl] if adjacency is not None else None
+            probs, _ = model(features[sl], adj, train=False)
+            out.append(probs.numpy())
     return np.concatenate(out)
 
 
@@ -320,7 +322,6 @@ def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
             model.zero_grad()
             loss.backward()
             optimizer.step()
-            del loss  # the tape dies here, not after the next step's forward
             epoch_loss += value * len(idx)
             for key in epoch_aux:
                 epoch_aux[key] += aux[key] * len(idx)
@@ -687,8 +688,9 @@ def baseline_flat_correlation(samples: list[GraphSample], plan: FoldPlan,
             linear.zero_grad()
             loss.backward()
             optimizer.step()
-        probs = ad.reshape(ad.sigmoid(linear(Tensor(table[test_mask]))),
-                           (int(test_mask.sum()),))
+        with ad.no_tape():
+            probs = ad.reshape(ad.sigmoid(linear(Tensor(table[test_mask]))),
+                               (int(test_mask.sum()),))
         metrics = compute_metrics(probs.numpy(), labels[test_mask])
         reports.append(FoldReport(
             fold=fold, hyperparameters=dict(hyper),

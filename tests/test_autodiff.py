@@ -1,6 +1,7 @@
 """Primitive semantics and finite-difference gradient checks for the core."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from matmul_reference import reference_matmul
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor, conv_output_length
 from stgnn.errors import ContractError, GeometryError, ShapeError
+from stgnn.models import ModelSpec, bce_loss, build_model
 
 
 @pytest.fixture(autouse=True)
@@ -541,6 +543,111 @@ def test_grad_accumulates_over_reuse():
     loss = ad.add(ad.mul(w, w), w)  # w^2 + w -> 2w + 1 = 5
     loss.backward()
     np.testing.assert_allclose(w.grad, 5.0)
+
+
+def retaining_backward(self):
+    """``Tensor.backward`` without the tape release: every node keeps its
+    closure, parents and ``grad`` until the loss is dropped."""
+    order, seen, stack = [], set(), [(self, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    self.grad = np.ones_like(self.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def ring_batch(b, n):
+    ring = np.roll(np.eye(n, dtype=np.float32), 1, axis=1)
+    return np.tile(ring + ring.T, (b, 1, 1))
+
+
+def one_step_loss(model, seed=0):
+    """The training loss of one (4, N, T) batch, with both pooling terms."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(4, model.n_nodes, model.input_length)).astype(np.float32)
+    labels = np.array([0.0, 1.0, 1.0, 0.0])
+    probs, aux = model(features, ring_batch(4, model.n_nodes), train=True)
+    return ad.add(bce_loss(probs, labels), ad.add(aux["link_loss"], aux["entropy_loss"]))
+
+
+def interior_activations(loss):
+    """Weak references to the array data of every tape node behind ``loss``
+    (a full reduction holds a numpy scalar, which takes no weak reference)."""
+    refs, seen, stack = [], {id(loss)}, list(loss._parents)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            if isinstance(node.data, np.ndarray):
+                refs.append(weakref.ref(node.data))
+            stack.extend(node._parents)
+    return refs
+
+
+def test_backward_frees_every_activation_while_the_loss_is_still_bound():
+    model = build_model(ModelSpec.from_name("mean_CNN", seed=1), 6, 32)
+    loss = one_step_loss(model)
+    activations = interior_activations(loss)
+    assert len(activations) > 20 and all(ref() is not None for ref in activations)
+    loss.backward()
+    assert [ref() for ref in activations if ref() is not None] == []
+    assert loss.grad == 1.0 and loss._parents == ()
+    assert all(p.grad is not None for p in model.parameters())
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("name", ["mean_CNN", "mean_CNN_GCN5", "diff5_TCN"])
+def test_consuming_backward_leaves_every_gradient_byte_equal(name, dtype, monkeypatch):
+    def step_gradients():
+        with ad.default_dtype(dtype):
+            model = build_model(ModelSpec.from_name(name, seed=4), 6, 32)
+            one_step_loss(model, seed=2).backward()
+        return {key: p.grad.tobytes() for key, p in model.named_parameters()}
+
+    consumed = step_gradients()
+    monkeypatch.setattr(Tensor, "backward", retaining_backward)
+    assert step_gradients() == consumed
+
+
+def test_backward_through_a_consumed_tape_raises_and_changes_nothing():
+    w = Tensor(3.0, requires_grad=True)
+    v = Tensor(2.0, requires_grad=True)
+    square = ad.mul(w, w)
+    loss = ad.mul(square, w)
+    loss.backward()
+    with pytest.raises(ContractError, match="tape already consumed"):
+        loss.backward()
+    with pytest.raises(ContractError, match="tape already consumed"):
+        ad.mul(square, v).backward()  # a new loss over a consumed node
+    np.testing.assert_allclose(w.grad, 27.0)
+    assert v.grad is None  # the refused walk ran no closure
+
+
+def test_no_tape_records_nothing_and_is_restored_after_an_exception():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_tape():
+            out = ad.relu(ad.mul(w, w))
+            assert (out.requires_grad, out._backward, out._parents) == (False, None, ())
+            with ad.no_tape():
+                pass
+            assert not ad.mul(w, w).requires_grad  # leaving the inner block kept no-tape
+            raise RuntimeError("inside")
+    out = ad.mul(w, w)
+    assert out.requires_grad and out._backward is not None
 
 
 # gradient checks for the remaining primitives -------------------------------------

@@ -1,5 +1,6 @@
 """Fold planning, metrics, grid search, baseline and experiment orchestration."""
 
+import contextlib
 import os
 import weakref
 
@@ -16,7 +17,7 @@ from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
                               flat_correlation_features, plan_folds, run_experiment,
                               select_grid_winner, train_classifier, GridRecord,
                               TrainOutcome, TrainSettings)
-from stgnn.models import ModelSpec, bce_loss
+from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.prep import AdjacencyMatrix, GraphSample, SampleWindow, prepare_graph_samples
 from stgnn.synth import SynthConfig, generate, generate_dataset
 
@@ -290,6 +291,56 @@ def test_training_releases_each_step_tape_before_the_next_forward(monkeypatch):
     outcome = _tiny_training()
     assert not outcome.failed
     assert len(steps) == 9  # 3 epochs of 3 batches
+
+
+@pytest.mark.parametrize("name", ["mean_CNN", "mean_CNN_GCN5", "diff5_TCN"])
+def test_scoring_records_no_tape_and_matches_a_tape_forward(name, monkeypatch):
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(7, 6, 32)).astype(np.float32)
+    ring = np.roll(np.eye(6, dtype=np.float32), 1, axis=1)
+    adjacency = np.tile(ring + ring.T, (7, 1, 1))
+    labels = (np.arange(7) % 2).astype(np.float32)
+    settings = TrainSettings(lr=1e-3, weight_decay=0.0, dropout=0.0, epochs=1, batch_size=4,
+                             link_weight=0.5, entropy_weight=0.25)
+    model = build_model(ModelSpec.from_name(name, seed=5), 6, 32)
+    model(features, adjacency, train=True)  # move the batchnorm buffers off their start
+    outputs = []
+
+    def recorded(features, adjacency, train):
+        probs, aux = model(features, adjacency, train=train)
+        outputs.append(probs)
+        return probs, aux
+
+    def score():
+        outputs.clear()
+        return (evaluation.predict_scores(recorded, features, adjacency, chunk=3),
+                evaluation.evaluate_loss(recorded, features, adjacency, labels, settings,
+                                         chunk=3))
+
+    scores, loss = score()
+    assert len(outputs) == 6
+    assert all((p.requires_grad, p._backward, p._parents) == (False, None, ()) for p in outputs)
+    monkeypatch.setattr(ad, "no_tape", contextlib.nullcontext)
+    tape_scores, tape_loss = score()
+    assert all(p.requires_grad and p._backward is not None for p in outputs)
+    assert scores.tobytes() == tape_scores.tobytes()
+    assert loss == tape_loss
+
+
+def test_baseline_scores_each_test_fold_without_a_tape(monkeypatch):
+    sigmoid = ad.sigmoid
+    taped = []
+
+    def recording_sigmoid(a):
+        out = sigmoid(a)
+        taped.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "sigmoid", recording_sigmoid)
+    samples = synth_samples(n_subjects=8)
+    baseline_flat_correlation(samples, plan_folds(samples, k=2, seed=0), binarize=False)
+    fold = [True] * evaluation.BASELINE_EPOCHS + [False]  # train every epoch, then score
+    assert taped == fold * 2
 
 
 def test_failed_training_records_epoch_and_batch_start(monkeypatch):
