@@ -1,4 +1,4 @@
-"""Command-line surface: synth, preprocess, run, params, roc-plot.
+"""Command-line surface: synth, run, params, roc-plot.
 
 Every command is deterministic given its flags and inputs; outputs are
 written atomically (temp file + rename). Failures print a machine-readable
@@ -11,38 +11,36 @@ import argparse
 import csv
 import json
 import os
-import struct
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from .errors import ConfigError, DataError, StgnnError
 from .evaluation import ExperimentConfig, HyperGrid, run_experiment
 from .models import ModelSpec, build_model
-from .plots import write_roc_svg
-from .prep import build_samples, load_manifest
+from .plots import roc_svg
 from .synth import SynthConfig, generate_dataset
-
-PREPROCESSED_MAGIC = b"STGP"
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write through a temp file and a rename. An OS failure leaves no temp
+    file behind and comes back as a ConfigError naming the path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -77,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effect", type=float, default=1.0)
     p.add_argument("--signal", choices=("covariance", "spectral", "both"), default="covariance")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
-
-    p = sub.add_parser("preprocess", help="window, scale and graph a dataset")
-    _add_shared(p)
-    p.add_argument("--data", type=Path, required=True, help="manifest path")
-    p.add_argument("--splits", type=int, choices=(4, 64), default=4,
-                   help="samples per subject (4 -> full sessions, 64 -> 16 windows/scan)")
-    p.add_argument("--threshold", type=int, choices=(5, 20), default=5)
 
     p = run_parser = sub.add_parser("run", help="cross-validated training and evaluation")
     _add_shared(p)
@@ -135,69 +126,6 @@ def cmd_synth(args) -> int:
     manifest = generate_dataset(config, args.out, fmt=args.format)
     print(manifest)
     return 0
-
-
-def cmd_preprocess(args) -> int:
-    windows_per_scan = 1 if args.splits == 4 else 16
-    records = load_manifest(args.data)
-    header = {
-        "version": 1,
-        "n_nodes": records[0].sessions[0].shape[1] if records else 0,
-        "windows_per_scan": windows_per_scan,
-        "threshold_percent": args.threshold,
-        "adjacency_scope": "per_window",
-    }
-    body = bytearray()
-    count = 0
-    for record in records:  # one subject at a time: only the payload grows
-        for sample in build_samples([record], windows_per_scan, args.threshold):
-            window, adjacency = sample.window, sample.adjacency
-            sid = window.subject_id.encode("utf-8")
-            body += struct.pack("<H", len(sid)) + sid
-            body += struct.pack("<HHB", window.scan_index, window.window_index, window.label)
-            n, t = window.features.shape
-            body += struct.pack("<II", n, t)
-            body += np.ascontiguousarray(window.features, dtype="<f4").tobytes()
-            body += struct.pack("<I", adjacency.n_edges)
-            body += np.ascontiguousarray(adjacency.edges.T, dtype="<u4").tobytes()
-            count += 1
-    header["n_samples"] = count
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = PREPROCESSED_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + bytes(body)
-    out = args.out if args.out.suffix else args.out / "preprocessed.stgp"
-    _atomic_write_bytes(out, payload)
-    print(out)
-    return 0
-
-
-def load_preprocessed(path: Path) -> tuple[dict, list[dict]]:
-    """Read a preprocess output file back into header + sample dicts."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != PREPROCESSED_MAGIC:
-        raise DataError(f"{path} is not a preprocessed dataset")
-    header_len, = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8:8 + header_len].decode("utf-8"))
-    offset = 8 + header_len
-    samples = []
-    for _ in range(header["n_samples"]):
-        sid_len, = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        sid = raw[offset:offset + sid_len].decode("utf-8")
-        offset += sid_len
-        scan, window, label = struct.unpack_from("<HHB", raw, offset)
-        offset += 5
-        n, t = struct.unpack_from("<II", raw, offset)
-        offset += 8
-        features = np.frombuffer(raw, dtype="<f4", count=n * t, offset=offset).reshape(n, t)
-        offset += n * t * 4
-        n_edges, = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        edges = np.frombuffer(raw, dtype="<u4", count=2 * n_edges, offset=offset)
-        edges = edges.reshape(n_edges, 2).T.astype(np.int64)
-        offset += 8 * n_edges
-        samples.append({"subject_id": sid, "scan_index": scan, "window_index": window,
-                        "label": label, "features": features.copy(), "edges": edges})
-    return header, samples
 
 
 # accepted run-config keys and their coercions; anything else is rejected
@@ -298,22 +226,20 @@ def cmd_roc_plot(args) -> int:
         raise ConfigError("no ROC CSV inputs given")
     curves = []
     for path in paths:
-        if not Path(path).exists():
+        if not Path(path).is_file():
             raise DataError(f"missing ROC file {path}")
-        points = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != ["threshold", "fpr", "tpr"]:
                 raise DataError(f"{path}: expected header threshold,fpr,tpr")
-            for row in reader:
-                points.append((float(row["fpr"]), float(row["tpr"])))
+            try:
+                points = [(float(row["fpr"]), float(row["tpr"])) for row in reader]
+            except (TypeError, ValueError):
+                raise DataError(f"{path}, line {reader.line_num}: fpr and tpr must be "
+                                f"numbers") from None
         curves.append((Path(path).stem, points))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.parent / f".{out.name}.tmp"
-    write_roc_svg(tmp, curves)
-    os.replace(tmp, out)
-    print(out)
+    _atomic_write_text(args.out, roc_svg(curves))
+    print(args.out)
     return 0
 
 
@@ -329,7 +255,6 @@ def main(argv=None) -> int:
             ad.set_default_dtype(args.precision)
         handlers = {
             "synth": cmd_synth,
-            "preprocess": cmd_preprocess,
             "run": cmd_run,
             "params": cmd_params,
             "roc-plot": cmd_roc_plot,

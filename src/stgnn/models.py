@@ -9,23 +9,17 @@ suffix when sessions are cut into 16 windows.
 
 from __future__ import annotations
 
-import json
 import re
-import struct
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import build_encoder
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ShapeError
 from .graph import DiffPoolStack, GCNLayer, global_mean_pool, normalized_adjacency
 from .nn import Dropout, Linear, Module
-
-CHECKPOINT_MAGIC = b"STGC"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -200,59 +194,3 @@ def bce_loss(probabilities: Tensor, labels) -> Tensor:
     negative = ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, p)))
     return ad.neg(ad.tmean(ad.add(positive, negative)))
 
-
-# checkpoint serialization -----------------------------------------------------
-
-
-def save_checkpoint(model: GraphClassifier, path: Path) -> None:
-    """Single binary document: JSON header then named float32 buffers."""
-    meta = {
-        "format_version": CHECKPOINT_VERSION,
-        "spec": asdict(model.spec),
-        "n_nodes": model.n_nodes,
-        "input_length": model.input_length,
-    }
-    header = json.dumps(meta, sort_keys=True).encode("utf-8")
-    state = model.state_dict()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<I", len(state)))
-        for name, value in state.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
-
-
-def load_checkpoint(path: Path) -> GraphClassifier:
-    with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise DataError(f"{path} is not a model checkpoint")
-        header_len, = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(header_len).decode("utf-8"))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version in {path}")
-        n_entries, = struct.unpack("<I", fh.read(4))
-        state: dict[str, np.ndarray] = {}
-        for _ in range(n_entries):
-            name_len, = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            ndim, = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(count * 4)
-            if len(payload) != count * 4:
-                raise DataError(f"truncated checkpoint {path}")
-            state[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    spec = spec_from_dict(meta["spec"])
-    model = build_model(spec, meta["n_nodes"], meta["input_length"])
-    model.load_state_dict(state)
-    return model
-
-
-def spec_from_dict(doc: dict) -> ModelSpec:
-    return ModelSpec(**doc)

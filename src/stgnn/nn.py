@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -170,64 +168,40 @@ class Dropout(Module):
 # optimiser -------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Moment buffers and step counter for one ordered parameter list."""
-
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
-    step: int
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    weight_decay: float
-
-    @classmethod
-    def for_params(cls, params, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8, weight_decay: float = 0.0) -> "AdamState":
-        return cls(first_moment=[np.zeros_like(p.data) for p in params],
-                   second_moment=[np.zeros_like(p.data) for p in params],
-                   step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                   weight_decay=weight_decay)
-
-
-def adam_step(params, grads, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place.
-
-    Weight decay is decoupled: lr * wd * theta is added to the update rather
-    than folded into the gradient.
-    """
-    if not (len(params) == len(grads) == len(state.first_moment) == len(state.second_moment)):
-        raise ShapeError("optimizer state does not match the parameter list")
-    state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape or m.shape != p.data.shape:
-            raise ShapeError("gradient/state shape does not match parameter")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if state.weight_decay:
-            update = update + state.weight_decay * p.data
-        p.data -= state.lr * update
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        self.params = list(params)
-        self.state = AdamState.for_params(self.params, lr=lr, beta1=beta1, beta2=beta2,
-                                          eps=eps, weight_decay=weight_decay)
+    """Bias-corrected Adam over one ordered parameter list, updated in place.
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+    Weight decay is decoupled: lr * wd * theta is added to the update rather
+    than folded into the gradient. A parameter without a gradient is stepped
+    as if its gradient were zero, so its moments still decay.
+    """
+
+    def __init__(self, params, lr: float = 1e-4, weight_decay: float = 0.0):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        self.steps = 0
 
     def step(self) -> None:
-        adam_step(self.params, [p.grad for p in self.params], self.state)
+        self.steps += 1
+        c1 = 1.0 - BETA1 ** self.steps
+        c2 = 1.0 - BETA2 ** self.steps
+        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise ShapeError("gradient shape does not match parameter")
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data -= self.lr * update

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#e67e22",
            "#16a085", "#7f8c8d", "#2c3e50")
 
@@ -52,6 +50,3 @@ def roc_svg(curves: list[tuple[str, list[tuple[float, float]]]]) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_roc_svg(path: Path, curves: list[tuple[str, list[tuple[float, float]]]]) -> None:
-    Path(path).write_text(roc_svg(curves))

@@ -1,11 +1,12 @@
 """Command-line surface: file contracts, determinism, error reporting."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from stgnn.cli import load_preprocessed, main
+from stgnn.cli import build_parser, main
 from stgnn.prep import load_manifest, write_manifest, write_matrix_csv
 
 
@@ -60,19 +61,6 @@ def test_params_prints_table_counts(capsys, model, length, expected):
 def test_params_rejects_unknown_model(capsys):
     assert run_cli("params", "--model", "mean_GRU") == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-
-
-def test_preprocess_output_parses(dataset, tmp_path):
-    out = tmp_path / "pre.stgp"
-    assert run_cli("preprocess", "--data", dataset, "--splits", 4,
-                   "--threshold", 20, "--out", out) == 0
-    header, samples = load_preprocessed(out)
-    assert header["n_samples"] == len(samples) == 16  # 8 subjects x 2 sessions
-    assert header["adjacency_scope"] == "per_window"
-    assert header["threshold_percent"] == 20
-    sample = samples[0]
-    assert sample["features"].shape == (6, 64)
-    assert sample["edges"].shape == (2, int(0.2 * 15))
 
 
 def test_run_writes_results_and_roc(dataset, tmp_path, capsys):
@@ -167,10 +155,10 @@ def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--jobs", 2), ("--jobs", 0), ("--precision", "f64")])
-@pytest.mark.parametrize("command", ["synth", "preprocess"])
-def test_only_run_takes_jobs_and_precision(dataset, tmp_path, capsys, command, flag, value):
+@pytest.mark.parametrize("command", ["synth", "roc-plot"])
+def test_only_run_takes_jobs_and_precision(tmp_path, capsys, command, flag, value):
     argv = {"synth": ["synth", "--subjects", 4, "--nodes", 5, "--length", 32],
-            "preprocess": ["preprocess", "--data", dataset]}[command]
+            "roc-plot": ["roc-plot", tmp_path / "roc_fold0.csv"]}[command]
     with pytest.raises(SystemExit) as caught:
         run_cli(*argv, "--out", tmp_path / "out", flag, value)
     assert caught.value.code != 0
@@ -250,6 +238,40 @@ def test_roc_plot_missing_input_fails(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
 
+@pytest.mark.parametrize("rows", ["1.9,abc,0\n", "1.9,0\n", None])
+def test_roc_plot_rejects_unreadable_input_with_error_json(tmp_path, capsys, rows):
+    source = tmp_path / "roc_fold0.csv"
+    if rows is None:
+        source.mkdir()
+    else:
+        source.write_text("threshold,fpr,tpr\n0.9,0,1\n" + rows)
+    assert run_cli("roc-plot", source, "--out", tmp_path / "o.svg") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError" and "roc_fold0.csv" in err["message"]
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_roc_plot_requires_inputs(tmp_path, capsys):
     assert run_cli("roc-plot", "--out", tmp_path / "o.svg") == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_roc_plot_into_existing_directory_fails_typed_and_leaves_no_temp(tmp_path, capsys):
+    csv_path = tmp_path / "roc_fold0.csv"
+    csv_path.write_text("threshold,fpr,tpr\n1.9,0,0\n0.9,0,1\n0.1,1,1\n")
+    (tmp_path / "taken").mkdir()
+    assert run_cli("roc-plot", csv_path, "--out", tmp_path / "taken") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "taken" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["roc_fold0.csv", "taken"]
+    assert not any((tmp_path / "taken").iterdir())
+
+
+def test_subcommands_are_exactly_synth_run_params_roc_plot(tmp_path, capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"synth", "run", "params", "roc-plot"}
+    with pytest.raises(SystemExit) as caught:
+        run_cli("preprocess", "--data", tmp_path / "manifest.json", "--out", tmp_path / "pre.stgp")
+    assert caught.value.code != 0
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "preprocess" in err

@@ -1,4 +1,4 @@
-"""Architecture assembly, objective, parameter counting, checkpoints, naming."""
+"""Architecture assembly, objective, parameter counting, naming."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.encoders import encoder_lengths
 from stgnn.errors import ConfigError, ShapeError
-from stgnn.models import ModelSpec, bce_loss, build_model, load_checkpoint, save_checkpoint
+from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.nn import Adam
 
 
@@ -215,36 +215,6 @@ def test_one_adam_step_decreases_loss():
         if after.item() < before.item():
             wins += 1
     assert wins >= 95
-
-
-# checkpoints ------------------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = build_model(ModelSpec.from_name("mean_CNN_GCN5", seed=3), 6, 32)
-    # move running stats away from init so buffers are exercised
-    features, adj, _ = random_batch(4, 6, 32, seed=5)
-    model(features, adj, train=True)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    restored = load_checkpoint(path)
-    for (name_a, pa), (_, pb) in zip(model.named_parameters(), restored.named_parameters()):
-        np.testing.assert_array_equal(pa.data, pb.data)
-    for (name_a, ba), (_, bb) in zip(model.named_buffers(), restored.named_buffers()):
-        np.testing.assert_array_equal(ba, bb)
-    second = tmp_path / "again.ckpt"
-    save_checkpoint(restored, second)
-    assert path.read_bytes() == second.read_bytes()
-
-
-def test_checkpoint_preserves_predictions(tmp_path):
-    model = build_model(ModelSpec.from_name("diff5_CNN", seed=9), 6, 32)
-    features, adj, _ = random_batch(3, 6, 32, seed=6)
-    expected, _ = model(features, adj, train=False)
-    save_checkpoint(model, tmp_path / "m.ckpt")
-    restored = load_checkpoint(tmp_path / "m.ckpt")
-    actual, _ = restored(features, adj, train=False)
-    np.testing.assert_array_equal(expected.numpy(), actual.numpy())
 
 
 # stacked matmul at model level ---------------------------------------------------------------

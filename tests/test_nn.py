@@ -8,8 +8,8 @@ from gradcheck import TOLERANCE, gradcheck, random_projection_loss
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.errors import ShapeError
-from stgnn.nn import (Adam, AdamState, BatchNorm1d, Conv1d, Dropout, Linear, Module,
-                      WeightNormConv1d, adam_step)
+from stgnn.nn import (Adam, BatchNorm1d, Conv1d, Dropout, Linear, Module,
+                      WeightNormConv1d)
 
 
 def test_module_discovers_parameters_in_order():
@@ -95,30 +95,53 @@ def test_dropout_layer_uses_shared_generator():
 
 def test_adam_first_step_is_minus_lr():
     theta = Tensor(np.zeros(1), requires_grad=True)
-    state = AdamState.for_params([theta], lr=0.1)
-    adam_step([theta], [np.ones(1)], state)
+    opt = Adam([theta], lr=0.1)
+    theta.grad = np.ones(1)
+    opt.step()
     np.testing.assert_allclose(theta.data, -0.1, atol=1e-6)
 
 
 def test_adam_zero_grad_keeps_params():
     theta = Tensor(np.array([1.5, -2.0]), requires_grad=True)
-    state = AdamState.for_params([theta], lr=0.1)
-    adam_step([theta], [np.zeros(2)], state)
+    opt = Adam([theta], lr=0.1)
+    theta.grad = np.zeros(2)
+    opt.step()
     np.testing.assert_array_equal(theta.data, np.array([1.5, -2.0], dtype=theta.data.dtype))
 
 
 def test_adam_decoupled_weight_decay_only():
     theta = Tensor(np.ones(1), requires_grad=True)
-    state = AdamState.for_params([theta], lr=0.1, weight_decay=0.5)
-    adam_step([theta], [np.zeros(1)], state)
+    opt = Adam([theta], lr=0.1, weight_decay=0.5)
+    theta.grad = np.zeros(1)
+    opt.step()
     np.testing.assert_allclose(theta.data, 0.95, atol=1e-7)
 
 
 def test_adam_rejects_shape_mismatch():
     theta = Tensor(np.ones(2), requires_grad=True)
-    state = AdamState.for_params([theta])
+    opt = Adam([theta])
+    theta.grad = np.ones(3)
     with pytest.raises(ShapeError):
-        adam_step([theta], [np.ones(3)], state)
+        opt.step()
+
+
+def test_adam_missing_grad_steps_as_zero_and_decays_moments():
+    stepped = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    idle = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    opt_a, opt_b = Adam([stepped], lr=0.1), Adam([idle], lr=0.1)
+    stepped.grad = idle.grad = np.array([1.0, -3.0])
+    opt_a.step()
+    opt_b.step()
+    stepped.grad = np.zeros(2)
+    idle.grad = None
+    opt_a.step()
+    opt_b.step()
+    np.testing.assert_array_equal(idle.data, stepped.data)
+    np.testing.assert_array_equal(opt_b.first_moment[0], opt_a.first_moment[0])
+    np.testing.assert_array_equal(opt_b.second_moment[0], opt_a.second_moment[0])
+    # the moments decayed by one factor of beta: 0.1 * g -> 0.09 * g
+    np.testing.assert_allclose(opt_b.first_moment[0], 0.09 * np.array([1.0, -3.0]))
+    np.testing.assert_allclose(opt_b.second_moment[0], 0.001 * 0.999 * np.array([1.0, 9.0]))
 
 
 def test_adam_step_counter_increases():
@@ -127,7 +150,7 @@ def test_adam_step_counter_increases():
     for expected in (1, 2, 3):
         theta.grad = np.ones(1)
         opt.step()
-        assert opt.state.step == expected
+        assert opt.steps == expected
 
 
 def test_adam_trajectory_is_deterministic():
@@ -138,7 +161,7 @@ def test_adam_trajectory_is_deterministic():
         for step in range(5):
             x = Tensor(rng.normal(size=(4, 3)))
             loss = ad.tmean(ad.square(ad.matmul(x, w)))
-            opt.zero_grad()
+            w.grad = None
             loss.backward()
             opt.step()
         return w.data.copy()
