@@ -2,8 +2,9 @@
 
 Results are computed eagerly while a tape of backward closures is recorded
 on the output tensors; ``Tensor.backward()`` replays the tape in reverse
-topological order and consumes it as it goes. A forward that nothing will
-differentiate runs under ``no_tape()``, which records no tape. Training runs
+topological order and consumes it as it goes. ``conv_bn_relu`` is a CNN
+encoder block as one op whose node keeps only what its backward reads. A
+forward that nothing will differentiate runs under ``no_tape()``. Training runs
 in float32; switch to float64 (see ``default_dtype``) when comparing
 analytic gradients against central finite differences.
 """
@@ -109,7 +110,10 @@ class Tensor:
         freed as soon as no closure still to run reads it. Afterwards only
         the leaves and this loss hold a ``grad``, and the loss holds no
         activations. A walk that reaches a consumed node raises
-        ``ContractError`` before running any closure.
+        ``ContractError`` before running any closure. The gradient a closure
+        receives is its node's own: no other node or leaf holds it, since
+        ``_accumulate`` copies unless its caller hands over a ``fresh`` array
+        it keeps no other use of. So a closure may overwrite it in place.
         """
         if self.data.size != 1:
             raise ContractError("backward() expects a scalar loss")
@@ -541,19 +545,9 @@ def _taps(length: int, kernel: int, stride: int, dilation: int, pad_left: int, l
             yield k, slice(first, stop), slice(start, start + (stop - first - 1) * stride + 1, stride)
 
 
-def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
-           causal: bool = False) -> Tensor:
-    """1D convolution over (batch, channels, length) input.
-
-    ``padding`` is symmetric when an int, or an explicit (left, right) pair.
-    ``causal=True`` overrides it with a left-only pad of (kernel-1)*dilation,
-    so output position t never sees inputs mapped after t.
-
-    The work runs channel-major: each pass is one GEMM against the
-    (C_in*K, B*L_out) columns of the input (zero where a tap reads padding),
-    and the output is a (B, C_out, L_out) view of a (C_out, B, L_out) array,
-    so a following per-channel reduction reads contiguous memory.
-    """
+def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: bool):
+    """Validate a conv1d call and run its GEMM: the channel-major (C_out, B,
+    L_out) result, the tape parents (x, weight[, bias]), and the ``_taps``."""
     x = as_tensor(x)
     weight = as_tensor(weight, like=x)
     if x.data.ndim != 3 or weight.data.ndim != 3:
@@ -577,41 +571,116 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
         raise GeometryError(f"conv1d output length {l_out} for L={length}, K={kernel}, "
                             f"stride={stride}, pad=({pad_left},{pad_right}), dilation={dilation}")
     taps = list(_taps(length, kernel, stride, dilation, pad_left, l_out))
+    out = weight.data.reshape(c_out, c_in * kernel) @ _columns(x.data, kernel, l_out, taps)
+    if bias is None:
+        return out.reshape(c_out, batch, l_out), (x, weight), taps
+    b_t = as_tensor(bias, like=x)
+    if b_t.data.shape != (c_out,):
+        raise ShapeError(f"conv1d bias must have shape ({c_out},)")
+    out += b_t.data[:, None]
+    return out.reshape(c_out, batch, l_out), (x, weight, b_t), taps
 
-    def columns() -> np.ndarray:
-        cols = np.zeros((c_in, kernel, batch, l_out), dtype=x.data.dtype)
-        x_cm = x.data.swapaxes(0, 1)
+
+def _columns(x: np.ndarray, kernel: int, l_out: int, taps) -> np.ndarray:
+    """The (C_in*K, B*L_out) columns of (B, C_in, L) input, zero where a tap reads padding."""
+    batch, c_in, _ = x.shape
+    cols = np.zeros((c_in, kernel, batch, l_out), dtype=x.dtype)
+    for k, steps, positions in taps:
+        cols[:, k, :, steps] = x.swapaxes(0, 1)[:, :, positions]
+    return cols.reshape(c_in * kernel, batch * l_out)
+
+
+def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps) -> None:
+    """Accumulate the conv gradients from the (C_out, B, L_out) output gradient."""
+    x, weight, *bias = parents
+    _, c_in, kernel = weight.data.shape
+    c_out, batch, l_out = g.shape
+    length = x.data.shape[2]
+    g2 = g.reshape(c_out, batch * l_out)
+    if weight.requires_grad:
+        # rebuilt rather than kept: the columns are K times the input
+        _accumulate(weight, (g2 @ _columns(x.data, kernel, l_out, taps).T).reshape(weight.data.shape),
+                    fresh=True)
+    if bias and bias[0].requires_grad:
+        _accumulate(bias[0], g2.sum(axis=1), fresh=True)
+    if x.requires_grad:
+        spread = (weight.data.reshape(c_out, -1).T @ g2).reshape(c_in, kernel, batch, l_out)
+        grad = np.zeros((c_in, batch, length), dtype=spread.dtype)
         for k, steps, positions in taps:
-            cols[:, k, :, steps] = x_cm[:, :, positions]
-        return cols.reshape(c_in * kernel, batch * l_out)
+            grad[:, :, positions] += spread[:, k, :, steps]
+        _accumulate(x, grad.swapaxes(0, 1), fresh=True)
 
-    w2 = weight.data.reshape(c_out, c_in * kernel)
-    out = w2 @ columns()
 
-    b_t = None
-    if bias is not None:
-        b_t = as_tensor(bias, like=x)
-        if b_t.data.shape != (c_out,):
-            raise ShapeError(f"conv1d bias must have shape ({c_out},)")
-        out += b_t.data[:, None]
+def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
+           causal: bool = False) -> Tensor:
+    """1D convolution over (batch, channels, length) input.
 
-    parents = (x, weight) if b_t is None else (x, weight, b_t)
+    ``padding`` is symmetric when an int, or an explicit (left, right) pair.
+    ``causal=True`` overrides it with a left-only pad of (kernel-1)*dilation,
+    so output position t never sees inputs mapped after t.
+
+    The work runs channel-major: each pass is one GEMM against the
+    (C_in*K, B*L_out) columns of the input (zero where a tap reads padding),
+    and the output is a (B, C_out, L_out) view of a (C_out, B, L_out) array,
+    so a following per-channel reduction reads contiguous memory.
+    """
+    out, parents, taps = _conv_forward(x, weight, bias, stride, padding, dilation, causal)
 
     def backward_fn(g):
-        g2 = g.swapaxes(0, 1).reshape(c_out, batch * l_out)
-        if weight.requires_grad:
-            # rebuilt rather than kept: the columns are K times the input
-            _accumulate(weight, (g2 @ columns().T).reshape(c_out, c_in, kernel), fresh=True)
-        if b_t is not None and b_t.requires_grad:
-            _accumulate(b_t, g2.sum(axis=1), fresh=True)
-        if x.requires_grad:
-            spread = (w2.T @ g2).reshape(c_in, kernel, batch, l_out)
-            grad = np.zeros((c_in, batch, length), dtype=spread.dtype)
-            for k, steps, positions in taps:
-                grad[:, :, positions] += spread[:, k, :, steps]
-            _accumulate(x, grad.swapaxes(0, 1), fresh=True)
+        _conv_backward(g.swapaxes(0, 1), parents, taps)
 
-    return _make(out.reshape(c_out, batch, l_out).swapaxes(0, 1), parents, backward_fn)
+    return _make(out.swapaxes(0, 1), parents, backward_fn)
+
+
+def _normalize_rows(rows: np.ndarray, gamma: Tensor, beta: Tensor, running_mean, running_var,
+                    train: bool, eps: float, momentum: float, in_place: bool):
+    """Batchnorm over (C, values) rows: ``xhat``, γ·xhat+β and 1/std. ``xhat``
+    overwrites ``rows`` when ``in_place``; train mode updates the running buffers."""
+    channels, count = rows.shape
+    if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
+        raise ShapeError(f"gamma/beta must have shape ({channels},)")
+    if train and count < 2:
+        raise ContractError("batch statistics need at least two values per channel")
+    mu = rows.mean(axis=1) if train else running_mean
+    xhat = np.subtract(rows, mu[:, None], out=rows if in_place else None)
+    if train:
+        out = np.square(xhat)  # holds the squares, then the output
+        var = out.mean(axis=1)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * var * (count / (count - 1))
+    else:
+        var = running_var
+        out = np.empty_like(xhat)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv[:, None]
+    np.multiply(xhat, gamma.data[:, None], out=out)
+    out += beta.data[:, None]
+    return xhat, out, inv
+
+
+def _normalize_rows_backward(g_rows: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                             gamma: Tensor, beta: Tensor, train: bool) -> np.ndarray:
+    """Accumulate the γ and β gradients and return the input gradient, built
+    in the ``xhat`` buffer, which nothing reads afterwards."""
+    count = xhat.shape[1]
+    # the two reductions every gradient is built from
+    sum_g = g_rows.sum(axis=1)
+    sum_gx = np.multiply(g_rows, xhat).sum(axis=1)
+    if gamma.requires_grad:
+        _accumulate(gamma, sum_gx, fresh=True)
+    if beta.requires_grad:
+        _accumulate(beta, sum_g, fresh=True)
+    scale = (gamma.data * inv)[:, None]
+    if train:
+        xhat *= (-sum_gx / count)[:, None]
+        xhat += g_rows
+        xhat -= (sum_g / count)[:, None]
+        xhat *= scale
+    else:
+        np.multiply(g_rows, scale, out=xhat)
+    return xhat
 
 
 def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
@@ -628,55 +697,42 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     beta = as_tensor(beta, like=x)
     if x.data.ndim not in (2, 3):
         raise ShapeError("batchnorm1d expects (B, C) or (B, C, L) input")
-    channels = x.data.shape[1]
-    if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
-        raise ShapeError(f"gamma/beta must have shape ({channels},)")
     # (C, B[, L]) -> (C, count): a view for channel-major input and for 2D input
     layout = x.data.swapaxes(0, 1).shape
-    rows = x.data.swapaxes(0, 1).reshape(channels, -1)
-    count = rows.shape[1]
-    if train:
-        if count < 2:
-            raise ContractError("batch statistics need at least two values per channel")
-        mu = rows.mean(axis=1)
-        xhat = rows - mu[:, None]
-        out = np.square(xhat)  # holds the squares, then the output
-        var = out.mean(axis=1)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * (count / (count - 1))
-    else:
-        var = running_var
-        xhat = rows - running_mean[:, None]
-        out = np.empty_like(xhat)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv[:, None]
-    np.multiply(xhat, gamma.data[:, None], out=out)
-    out += beta.data[:, None]
+    xhat, out, inv = _normalize_rows(x.data.swapaxes(0, 1).reshape(layout[0], -1), gamma, beta,
+                                     running_mean, running_var, train, eps, momentum, False)
 
     def backward_fn(g):
-        g_rows = g.swapaxes(0, 1).reshape(channels, -1)
-        # the two reductions every gradient is built from
-        sum_g = g_rows.sum(axis=1)
-        gx = np.multiply(g_rows, xhat)
-        sum_gx = gx.sum(axis=1)
-        if gamma.requires_grad:
-            _accumulate(gamma, sum_gx, fresh=True)
-        if beta.requires_grad:
-            _accumulate(beta, sum_g, fresh=True)
-        if x.requires_grad:
-            scale = (gamma.data * inv)[:, None]
-            if train:
-                np.multiply(xhat, (-sum_gx / count)[:, None], out=gx)
-                gx += g_rows
-                gx -= (sum_g / count)[:, None]
-                gx *= scale
-            else:
-                np.multiply(g_rows, scale, out=gx)
-            _accumulate(x, gx.reshape(layout).swapaxes(0, 1), fresh=True)
+        gx = _normalize_rows_backward(g.swapaxes(0, 1).reshape(layout[0], -1), xhat, inv,
+                                      gamma, beta, train)
+        _accumulate(x, gx.reshape(layout).swapaxes(0, 1), fresh=True)
 
     return _make(out.reshape(layout).swapaxes(0, 1), (x, gamma, beta), backward_fn)
+
+
+def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
+                 running_var: np.ndarray, train: bool, stride: int = 1, padding=0,
+                 eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+    """``relu(batchnorm1d(conv1d(x, weight, bias, stride, padding), ...))`` as one
+    tape op, bit-for-bit: the same arithmetic in the same order, but the conv
+    result is normalized in place into ``xhat`` and the ReLU runs in place, so
+    the op allocates and keeps two activation-sized arrays, and backward takes
+    the ReLU mask from the output (in-place activated batchnorm, Rota Bulò et
+    al. 2018, arXiv:1712.02616)."""
+    conv, conv_parents, taps = _conv_forward(x, weight, bias, stride, padding, 1, False)
+    gamma = as_tensor(gamma, like=conv_parents[0])
+    beta = as_tensor(beta, like=conv_parents[0])
+    xhat, out, inv = _normalize_rows(conv.reshape(conv.shape[0], -1), gamma, beta,
+                                     running_mean, running_var, train, eps, momentum, True)
+    y = np.maximum(out, 0, out=out).reshape(conv.shape).swapaxes(0, 1)
+
+    def backward_fn(g):
+        g *= y > 0  # ``g`` is this node's own (see ``Tensor.backward``)
+        gx = _normalize_rows_backward(g.swapaxes(0, 1).reshape(xhat.shape), xhat, inv, gamma,
+                                      beta, train)
+        _conv_backward(gx.reshape(conv.shape), conv_parents, taps)
+
+    return _make(y, conv_parents + (gamma, beta), backward_fn)
 
 
 def weight_norm(direction, gain, eps: float = 1e-12) -> Tensor:

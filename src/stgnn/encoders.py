@@ -3,9 +3,9 @@
 Both variants stack four strided convolutional blocks (channels 1, 8, 16,
 32, 64; kernel 7; stride 2) that halve the length at every layer, then
 flatten and project to the embedding width. The plain CNN uses symmetric
-padding with batch normalization; the causal variant uses left-only padding
-with dilations 1, 2, 4, 8, weight-normalized filters and a strided 1x1
-residual projection per block.
+padding with batch normalization, each block one ``autodiff.conv_bn_relu``
+tape op; the causal variant uses left-only padding with dilations 1, 2, 4,
+8, weight-normalized filters and a strided 1x1 residual projection per block.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def encoder_lengths(input_length: int, causal: bool) -> list[int]:
 
 
 class CnnEncoder(Module):
-    """Four (conv -> batchnorm -> relu) blocks, flatten, linear to 256."""
+    """Four (conv -> batchnorm -> relu) blocks, flatten, linear to 256. Each
+    block is one ``ad.conv_bn_relu`` op over its ``Conv1d`` and ``BatchNorm1d``."""
 
     def __init__(self, input_length: int, rng: np.random.Generator,
                  embed_dim: int = EMBED_DIM):
@@ -60,8 +61,9 @@ class CnnEncoder(Module):
     def block_activations(self, x, train: bool = False) -> list[Tensor]:
         acts = []
         h = x
-        for conv, norm in zip(self.convs, self.norms):
-            h = ad.relu(norm(conv(h), train=train))
+        for conv, bn in zip(self.convs, self.norms):
+            h = ad.conv_bn_relu(h, conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean,
+                                bn.running_var, train, conv.stride, conv.padding, bn.eps, bn.momentum)
             acts.append(h)
         return acts
 

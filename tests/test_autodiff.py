@@ -14,6 +14,7 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor, conv_output_length
 from stgnn.errors import ContractError, GeometryError, ShapeError
 from stgnn.models import ModelSpec, bce_loss, build_model
+from stgnn.nn import Adam
 
 
 @pytest.fixture(autouse=True)
@@ -343,6 +344,77 @@ def test_batchnorm_transposed_view_input_matches_contiguous(case):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+# conv_bn_relu against the three ops it fuses ---------------------------------------
+
+
+@st.composite
+def conv_bn_relu_cases(draw):
+    kernel = draw(st.integers(1, 7))
+    return {"batch": draw(st.integers(1, 4)), "c_in": draw(st.integers(1, 5)),
+            "c_out": draw(st.integers(1, 6)), "kernel": kernel,
+            "length": draw(st.integers(kernel, kernel + 12)),
+            "stride": draw(st.integers(1, 3)), "padding": draw(st.integers(0, 3)),
+            "train": draw(st.booleans()), "dtype": draw(st.sampled_from(["f32", "f64"])),
+            "x_grad": draw(st.booleans()), "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+def _block_with_grads(case, fused):
+    """Output, running buffers after the call, and x/W/b/γ/β gradients of one block."""
+    rng = np.random.default_rng(case["seed"])
+    c_out = case["c_out"]
+    with ad.default_dtype(case["dtype"]):
+        x = Tensor(rng.normal(size=(case["batch"], case["c_in"], case["length"])),
+                   requires_grad=case["x_grad"])
+        w, b, gamma, beta = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in
+                             ((c_out, case["c_in"], case["kernel"]), c_out, c_out, c_out))
+        dtype = ad.get_default_dtype()
+        rm = rng.normal(size=c_out).astype(dtype)
+        rv = rng.uniform(0.5, 2.0, size=c_out).astype(dtype)
+        conv = {"stride": case["stride"], "padding": case["padding"]}
+        if fused:
+            out = ad.conv_bn_relu(x, w, b, gamma, beta, rm, rv, case["train"], **conv)
+        else:
+            out = ad.relu(ad.batchnorm1d(ad.conv1d(x, w, b, **conv), gamma, beta, rm, rv,
+                                         train=case["train"]))
+        probe = Tensor(np.random.default_rng(case["seed"] + 1).normal(size=out.shape))
+        ad.tsum(ad.mul(out, probe)).backward()
+    return [out.data, rm, rv] + [t.grad for t in (x, w, b, gamma, beta)]
+
+
+@PROPERTY
+@given(conv_bn_relu_cases())
+def test_conv_bn_relu_is_bit_equal_to_relu_batchnorm_conv(case):
+    l_out = conv_output_length(case["length"], case["kernel"], case["stride"],
+                               2 * case["padding"], 1)
+    if case["train"] and case["batch"] * l_out < 2:
+        for fused in (True, False):
+            with pytest.raises(ContractError, match="two values per channel"):
+                _block_with_grads(case, fused)
+        return
+    got = _block_with_grads(case, fused=True)
+    want = _block_with_grads(case, fused=False)
+    assert (got[3] is None) == (want[3] is None) == (not case["x_grad"])
+    for value, expected in zip(got, want):
+        if expected is not None:
+            assert (value.dtype, value.shape) == (expected.dtype, expected.shape)
+            assert value.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_conv_bn_relu_gradients(train):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 2, 9)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b, gamma, beta = (Tensor(rng.normal(size=3), requires_grad=True) for _ in range(3))
+        rm = rng.normal(size=3)
+        rv = rng.uniform(0.5, 2.0, size=3)
+        loss = random_projection_loss(
+            lambda: ad.conv_bn_relu(x, w, b, gamma, beta, rm, rv, train, stride=2, padding=1),
+            rng)
+        assert gradcheck(loss, [x, w, b, gamma, beta]) < TOLERANCE
+
+
 # weight norm -------------------------------------------------------------------
 
 
@@ -620,6 +692,39 @@ def test_consuming_backward_leaves_every_gradient_byte_equal(name, dtype, monkey
     consumed = step_gradients()
     monkeypatch.setattr(Tensor, "backward", retaining_backward)
     assert step_gradients() == consumed
+
+
+@pytest.mark.parametrize("name", ["mean_CNN", "mean_CNN_GCN5", "diff5_TCN"])
+def test_every_closure_gets_a_gradient_no_other_node_or_parameter_holds(name, monkeypatch):
+    """The rule ``Tensor.backward`` states and ``conv_bn_relu`` relies on to
+    mask its incoming gradient in place, over one full training step."""
+    nodes, checked = [], []
+    make = ad._make
+
+    def checking_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        if out._backward is not None:
+            def closure(g, out=out, run=out._backward):
+                held = [n.grad for n in nodes if n is not out and n.grad is not None]
+                held += [p.grad for p in params if p.grad is not None]
+                assert not any(np.shares_memory(g, other) for other in held)
+                checked.append(out)
+                run(g)
+
+            out._backward = closure
+            nodes.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_make", checking_make)
+    with ad.default_dtype("f32"):
+        model = build_model(ModelSpec.from_name(name, seed=3), 6, 32)
+        params = model.parameters()
+        optimizer = Adam(params, lr=1e-3)
+        loss = one_step_loss(model)
+        model.zero_grad()
+        loss.backward()
+        optimizer.step()
+    assert len(checked) > 20
 
 
 def test_backward_through_a_consumed_tape_raises_and_changes_nothing():

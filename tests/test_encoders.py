@@ -1,5 +1,7 @@
 """Temporal encoders: geometry, causality, batch independence, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.encoders import CnnEncoder, TcnEncoder, encoder_lengths
 from stgnn.errors import GeometryError
+from stgnn.models import ModelSpec, bce_loss, build_model
+from stgnn.nn import Adam
 
 
 def test_cnn_lengths_full_session():
@@ -128,3 +132,87 @@ def test_encoder_end_to_end_gradients(encoder_cls):
         loss_fn = random_projection_loss(lambda: enc(x, train=True), rng)
         params = [x] + enc.parameters()
         assert gradcheck(loss_fn, params, sample=6, rng=rng) < TOLERANCE
+
+
+# the fused block op against the three ops it replaces -----------------------------
+
+
+def composed_block_activations(self, x, train: bool = False):
+    """``CnnEncoder.block_activations`` as separate conv1d, batchnorm1d and relu ops."""
+    acts, h = [], x
+    for conv, norm in zip(self.convs, self.norms):
+        h = ad.relu(norm(conv(h), train=train))
+        acts.append(h)
+    return acts
+
+
+def training_step_state(name, dtype, steps=2):
+    """Gradients, running buffers and eval scores after each of a few Adam steps."""
+    rng = np.random.default_rng(5)
+    with ad.default_dtype(dtype):
+        model = build_model(ModelSpec.from_name(name, seed=2), 6, 64)
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        states = []
+        for _ in range(steps):
+            features = rng.normal(size=(5, 6, 64)).astype(np.float32)
+            adjacency = np.tile(1 - np.eye(6, dtype=np.float32), (5, 1, 1))
+            probs, _ = model(features, adjacency, train=True)
+            model.zero_grad()
+            bce_loss(probs, np.array([0.0, 1.0, 1.0, 0.0, 1.0])).backward()
+            optimizer.step()
+            with ad.no_tape():
+                scores = model(features, adjacency, train=False)[0].numpy()
+            states.append({**{k: p.grad.tobytes() for k, p in model.named_parameters()},
+                           **{k: b.tobytes() for k, b in model.named_buffers()},
+                           "scores": scores.tobytes()})
+    return states
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("name", ["mean_CNN", "mean_CNN_GCN5"])
+def test_fused_blocks_train_bit_for_bit_like_the_three_ops(name, dtype, monkeypatch):
+    fused = training_step_state(name, dtype)
+    monkeypatch.setattr(CnnEncoder, "block_activations", composed_block_activations)
+    assert training_step_state(name, dtype) == fused
+
+
+def test_cnn_encoder_state_names_are_its_modules():
+    # the fused op reads parameters and buffers from the Conv1d and BatchNorm1d modules
+    enc = CnnEncoder(64, np.random.default_rng(0))
+    assert set(enc.state_dict()) == (
+        {f"convs.{i}.{name}" for i in range(4) for name in ("weight", "bias")}
+        | {f"norms.{i}.{name}" for i in range(4)
+           for name in ("gamma", "beta", "running_mean", "running_var")}
+        | {"project.weight", "project.bias"})
+
+
+def traced_step_bytes(model, features, labels):
+    """Bytes a training forward leaves held, and the peak above that base during backward."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = bce_loss(model(features, None, train=True)[0], labels)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+def test_fused_blocks_hold_at_most_six_tenths_of_the_three_ops_tape(monkeypatch):
+    # each block keeps xhat and its output; the three ops also keep the conv
+    # and batchnorm outputs, so keeping either of those again fails the bound
+    features = np.random.default_rng(0).normal(size=(8, 6, 256)).astype(np.float32)
+    labels = np.arange(8) % 2
+
+    def measure():
+        model = build_model(ModelSpec.from_name("mean_CNN", seed=1), 6, 256)
+        return traced_step_bytes(model, features, labels)
+
+    fused_held, fused_peak = measure()
+    monkeypatch.setattr(CnnEncoder, "block_activations", composed_block_activations)
+    composed_held, composed_peak = measure()
+    assert fused_held <= 0.6 * composed_held
+    assert fused_peak <= composed_peak
