@@ -79,28 +79,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        return out
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable leaf that requires it.
@@ -145,47 +128,6 @@ class Tensor:
                 node._parents = ()
                 if node is not self:
                     node.grad = None
-
-    # operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -301,16 +243,6 @@ def neg(a) -> Tensor:
         _accumulate(a, -g)
 
     return _make(-a.data, (a,), backward_fn)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g * data)
-
-    return _make(data, (a,), backward_fn)
 
 
 def log(a) -> Tensor:
@@ -683,8 +615,12 @@ def _normalize_rows_backward(g_rows: np.ndarray, xhat: np.ndarray, inv: np.ndarr
     return xhat
 
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
 def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-                train: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+                train: bool, eps: float = BN_EPS, momentum: float = BN_MOMENTUM) -> Tensor:
     """Per-channel normalization over batch (and time, for 3D input).
 
     Train mode uses batch statistics and updates the running buffers in
@@ -711,8 +647,7 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
 
 
 def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
-                 running_var: np.ndarray, train: bool, stride: int = 1, padding=0,
-                 eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+                 running_var: np.ndarray, train: bool, stride: int = 1, padding=0) -> Tensor:
     """``relu(batchnorm1d(conv1d(x, weight, bias, stride, padding), ...))`` as one
     tape op, bit-for-bit: the same arithmetic in the same order, but the conv
     result is normalized in place into ``xhat`` and the ReLU runs in place, so
@@ -723,7 +658,7 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     gamma = as_tensor(gamma, like=conv_parents[0])
     beta = as_tensor(beta, like=conv_parents[0])
     xhat, out, inv = _normalize_rows(conv.reshape(conv.shape[0], -1), gamma, beta,
-                                     running_mean, running_var, train, eps, momentum, True)
+                                     running_mean, running_var, train, BN_EPS, BN_MOMENTUM, True)
     y = np.maximum(out, 0, out=out).reshape(conv.shape).swapaxes(0, 1)
 
     def backward_fn(g):

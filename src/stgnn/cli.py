@@ -128,18 +128,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# accepted run-config keys and their coercions; anything else is rejected
-_RUN_CONFIG_TYPES = {
-    "data": Path, "model": str, "threshold": int, "splits": int, "folds": int,
-    "seed": int, "out": Path, "jobs": int, "precision": str,
-    "grid_fast": _parse_bool, "epochs": int, "batch_size": int, "lr": float,
-    "permute_labels": _parse_bool, "select_final_epoch": _parse_bool,
-    "no_timestamp": _parse_bool, "aux_link_weight": float, "aux_entropy_weight": float,
-}
-
-
-def load_run_config(path: Path) -> dict:
-    """Parse a `key = value` file; keys mirror the run flags."""
+def load_run_config(path: Path, run_parser: argparse.ArgumentParser) -> dict:
+    """Parse a `key = value` file. Keys mirror the run flags; each value is
+    coerced by its flag's type and must meet its flag's choices."""
+    actions = {a.dest: a for a in run_parser._actions if a.dest not in ("help", "config")}
     overrides: dict = {}
     try:
         text = Path(path).read_text()
@@ -155,14 +147,19 @@ def load_run_config(path: Path) -> dict:
             key, _, value = line.partition(" ")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _RUN_CONFIG_TYPES:
+        if key not in actions:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: missing value for {key!r}")
+        action = actions[key]
+        coerce = _parse_bool if action.nargs == 0 else (action.type or str)  # nargs 0: a switch
         try:
-            overrides[key] = _RUN_CONFIG_TYPES[key](value)
+            overrides[key] = coerce(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        if action.choices is not None and overrides[key] not in action.choices:
+            raise ConfigError(f"{path}:{lineno}: {key!r} must be one of "
+                              f"{list(action.choices)}; got {value!r}")
     return overrides
 
 
@@ -249,7 +246,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # config supplies defaults; flags given explicitly still win
-            parser.run_parser.set_defaults(**load_run_config(args.config))
+            parser.run_parser.set_defaults(**load_run_config(args.config, parser.run_parser))
             args = parser.parse_args(argv)
         if getattr(args, "precision", None):
             ad.set_default_dtype(args.precision)

@@ -49,21 +49,20 @@ class CnnEncoder(Module):
     """Four (conv -> batchnorm -> relu) blocks, flatten, linear to 256. Each
     block is one ``ad.conv_bn_relu`` op over its ``Conv1d`` and ``BatchNorm1d``."""
 
-    def __init__(self, input_length: int, rng: np.random.Generator,
-                 embed_dim: int = EMBED_DIM):
+    def __init__(self, input_length: int, rng: np.random.Generator):
         self.lengths = encoder_lengths(input_length, causal=False)
         self.input_length = input_length
         self.convs = [Conv1d(CHANNELS[i], CHANNELS[i + 1], KERNEL, rng,
                              stride=STRIDE, padding=SYMMETRIC_PAD) for i in range(4)]
         self.norms = [BatchNorm1d(CHANNELS[i + 1]) for i in range(4)]
-        self.project = Linear(CHANNELS[-1] * self.lengths[-1], embed_dim, rng)
+        self.project = Linear(CHANNELS[-1] * self.lengths[-1], EMBED_DIM, rng)
 
     def block_activations(self, x, train: bool = False) -> list[Tensor]:
         acts = []
         h = x
         for conv, bn in zip(self.convs, self.norms):
             h = ad.conv_bn_relu(h, conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean,
-                                bn.running_var, train, conv.stride, conv.padding, bn.eps, bn.momentum)
+                                bn.running_var, train, conv.stride, conv.padding)
             acts.append(h)
         return acts
 
@@ -78,7 +77,7 @@ class TemporalBlock(Module):
     def __init__(self, in_channels: int, out_channels: int, dilation: int,
                  rng: np.random.Generator, dropout: float):
         self.conv = WeightNormConv1d(in_channels, out_channels, KERNEL, rng,
-                                     stride=STRIDE, dilation=dilation, causal=True)
+                                     stride=STRIDE, dilation=dilation)
         self.down = Conv1d(in_channels, out_channels, 1, rng, stride=STRIDE)
         self.drop = Dropout(dropout, rng)
 
@@ -92,13 +91,12 @@ class TemporalBlock(Module):
 class TcnEncoder(Module):
     """Four causal residual blocks with dilations 1, 2, 4, 8, flatten, linear."""
 
-    def __init__(self, input_length: int, rng: np.random.Generator,
-                 embed_dim: int = EMBED_DIM, dropout: float = 0.0):
+    def __init__(self, input_length: int, rng: np.random.Generator, dropout: float = 0.0):
         self.lengths = encoder_lengths(input_length, causal=True)
         self.input_length = input_length
         self.blocks = [TemporalBlock(CHANNELS[i], CHANNELS[i + 1], TCN_DILATIONS[i],
                                      rng, dropout) for i in range(4)]
-        self.project = Linear(CHANNELS[-1] * self.lengths[-1], embed_dim, rng)
+        self.project = Linear(CHANNELS[-1] * self.lengths[-1], EMBED_DIM, rng)
 
     def block_activations(self, x, train: bool = False) -> list[Tensor]:
         acts = []
@@ -114,9 +112,9 @@ class TcnEncoder(Module):
 
 
 def build_encoder(kind: str, input_length: int, rng: np.random.Generator,
-                  embed_dim: int = EMBED_DIM, dropout: float = 0.0) -> Module:
+                  dropout: float = 0.0) -> Module:
     if kind == "cnn":
-        return CnnEncoder(input_length, rng, embed_dim=embed_dim)
+        return CnnEncoder(input_length, rng)
     if kind == "tcn":
-        return TcnEncoder(input_length, rng, embed_dim=embed_dim, dropout=dropout)
+        return TcnEncoder(input_length, rng, dropout=dropout)
     raise ConfigError(f"unknown encoder kind {kind!r}")

@@ -86,6 +86,8 @@ def plan_folds(samples: list[GraphSample], k: int = 5, seed: int = 0) -> FoldPla
     """Stratified assignment of whole subjects to k outer folds, plus an
     inner split that reserves one fifth of each training fold's subjects
     (stratified the same way) for validation."""
+    if k < 2:
+        raise ConfigError(f"cross-validation needs at least 2 folds; got {k}")
     subjects = _subject_labels(samples)
     per_class: dict[int, int] = {}
     for _, label in subjects:
@@ -207,11 +209,11 @@ class HyperGrid:
                 itertools.product(self.dropouts, self.learning_rates, self.weight_decays)]
 
     @classmethod
-    def fast(cls, dropout: float = 0.0, lr: float = 1e-3, weight_decay: float = 0.0,
-             epochs: int = 30, batch_size: int | None = 32) -> "HyperGrid":
-        """Single sensible point for desk-scale runs; small batches so tiny
-        datasets still take enough optimizer steps per epoch."""
-        return cls(dropouts=(dropout,), learning_rates=(lr,), weight_decays=(weight_decay,),
+    def fast(cls, lr: float = 1e-3, epochs: int = 30, batch_size: int | None = 32) -> "HyperGrid":
+        """Single sensible point for desk-scale runs (no dropout, no weight
+        decay); small batches so tiny datasets still take enough optimizer
+        steps per epoch."""
+        return cls(dropouts=(0.0,), learning_rates=(lr,), weight_decays=(0.0,),
                    epochs=epochs, batch_size=batch_size)
 
 
@@ -448,6 +450,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     start_time = time.perf_counter()
     if config.jobs < 1:
         raise ConfigError(f"jobs must be at least 1; got {config.jobs}")
+    if config.grid.epochs < 1:
+        raise ConfigError(f"epochs must be at least 1; got {config.grid.epochs}")
+    if config.grid.batch_size is not None and config.grid.batch_size < 1:
+        raise ConfigError(f"batch size must be at least 1; got {config.grid.batch_size}")
     records = load_manifest(config.manifest)
     records = balance_by_subject(records, seed=derived_seed(config.seed, 0xBA1A))
     if config.permute_labels:

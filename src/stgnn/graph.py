@@ -102,8 +102,6 @@ class SageTower(Module):
 
 def _norm_nodes(norm: BatchNorm1d, h: Tensor, train: bool) -> Tensor:
     """Batch-normalize (B, N, F) node features per feature channel."""
-    if h.data.ndim == 2:
-        return norm(h, train=train)
     b, n, f = h.data.shape
     flat = ad.reshape(h, (b * n, f))
     return ad.reshape(norm(flat, train=train), (b, n, f))
@@ -121,7 +119,6 @@ class DiffPoolLevel(Module):
                  hidden: int = 256, out_features: int = 256):
         if n_clusters < 1:
             raise ConfigError("pooling needs at least one cluster")
-        self.n_clusters = n_clusters
         self.embed = SageTower(in_features, hidden, out_features, rng)
         self.assign = SageTower(in_features, hidden, n_clusters, rng)
 
@@ -140,15 +137,19 @@ class DiffPoolLevel(Module):
         return pooled_x, pooled_a, link, entropy
 
 
-def cluster_schedule(n_nodes: int, levels: int = 2, ratio: float = 0.25) -> list[int]:
+POOL_LEVELS = 2
+POOL_RATIO = 0.25
+
+
+def cluster_schedule(n_nodes: int) -> list[int]:
     """Cluster counts per level: ceil(ratio * previous), strictly decreasing."""
     counts = []
     previous = n_nodes
-    for _ in range(levels):
-        current = math.ceil(ratio * previous)
+    for _ in range(POOL_LEVELS):
+        current = math.ceil(POOL_RATIO * previous)
         if not 1 <= current < previous:
             raise ConfigError(f"cluster schedule cannot shrink {previous} nodes "
-                              f"(needs more nodes for {levels} pooling levels)")
+                              f"(needs more nodes for {POOL_LEVELS} pooling levels)")
         counts.append(current)
         previous = current
     return counts
@@ -157,14 +158,10 @@ def cluster_schedule(n_nodes: int, levels: int = 2, ratio: float = 0.25) -> list
 class DiffPoolStack(Module):
     """Two pooling levels followed by a mean readout over surviving clusters."""
 
-    def __init__(self, n_nodes: int, features: int, rng: np.random.Generator,
-                 ratio: float = 0.25):
-        schedule = cluster_schedule(n_nodes, levels=2, ratio=ratio)
-        self.schedule = schedule
-        self.levels = [DiffPoolLevel(features, schedule[0], rng,
-                                     hidden=features, out_features=features),
-                       DiffPoolLevel(features, schedule[1], rng,
-                                     hidden=features, out_features=features)]
+    def __init__(self, n_nodes: int, features: int, rng: np.random.Generator):
+        self.schedule = cluster_schedule(n_nodes)
+        self.levels = [DiffPoolLevel(features, clusters, rng, hidden=features,
+                                     out_features=features) for clusters in self.schedule]
 
     def __call__(self, x, adjacency, train: bool):
         link_total = None

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import build_encoder
+from .encoders import EMBED_DIM, build_encoder
 from .errors import ConfigError, ShapeError
 from .graph import DiffPoolStack, GCNLayer, global_mean_pool, normalized_adjacency
 from .nn import Dropout, Linear, Module
@@ -31,7 +31,6 @@ class ModelSpec:
     pooling: str = "mean"         # mean | diffpool
     threshold_percent: int = 5
     windows_per_scan: int = 1
-    embed_dim: int = 256
     dropout: float = 0.0
     seed: int = 0
 
@@ -116,9 +115,9 @@ class ModelSpec:
 class PredictionHead(Module):
     """dropout -> linear 256 -> 1 -> sigmoid."""
 
-    def __init__(self, embed_dim: int, dropout: float, rng: np.random.Generator):
+    def __init__(self, dropout: float, rng: np.random.Generator):
         self.drop = Dropout(dropout, rng)
-        self.linear = Linear(embed_dim, 1, rng)
+        self.linear = Linear(EMBED_DIM, 1, rng)
 
     def __call__(self, z, train: bool) -> Tensor:
         logits = self.linear(self.drop(z, train=train))
@@ -136,12 +135,10 @@ class GraphClassifier(Module):
         # one generator drives init and dropout masks; construction order is
         # fixed, so identical seeds give bit-identical parameter trajectories
         rng = np.random.default_rng(spec.seed)
-        self.encoder = build_encoder(spec.encoder, input_length, rng,
-                                     embed_dim=spec.embed_dim, dropout=spec.dropout)
-        self.gcn = GCNLayer(spec.embed_dim, rng) if spec.use_gcn else None
-        self.pool = (DiffPoolStack(n_nodes, spec.embed_dim, rng)
-                     if spec.pooling == "diffpool" else None)
-        self.head = PredictionHead(spec.embed_dim, spec.dropout, rng)
+        self.encoder = build_encoder(spec.encoder, input_length, rng, dropout=spec.dropout)
+        self.gcn = GCNLayer(EMBED_DIM, rng) if spec.use_gcn else None
+        self.pool = DiffPoolStack(n_nodes, EMBED_DIM, rng) if spec.pooling == "diffpool" else None
+        self.head = PredictionHead(spec.dropout, rng)
 
     def forward(self, features: np.ndarray, adjacency: np.ndarray | None,
                 train: bool) -> tuple[Tensor, dict[str, Tensor]]:
@@ -166,7 +163,7 @@ class GraphClassifier(Module):
 
         x = Tensor(features.reshape(b * n, 1, t))
         h = self.encoder(x, train=train)
-        h = ad.reshape(h, (b, n, self.spec.embed_dim))
+        h = ad.reshape(h, (b, n, EMBED_DIM))
         if self.gcn is not None:
             operator = Tensor(normalized_adjacency(adjacency))
             h = self.gcn(h, operator)

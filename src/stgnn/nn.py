@@ -72,8 +72,6 @@ def _iter_members(module: Module, prefix: str):
             for idx, item in enumerate(value):
                 if isinstance(item, Module):
                     yield from _iter_members(item, f"{path}.{idx}")
-                elif isinstance(item, Tensor) and item.requires_grad:
-                    yield "param", f"{path}.{idx}", item
     for key in module._buffers:
         path = f"{prefix}.{key}" if prefix else key
         yield "buffer", path, getattr(module, key)
@@ -96,64 +94,59 @@ class Linear(Module):
         return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
+CONV_WEIGHT_STD = 0.01
+
+
 class Conv1d(Module):
     """1D convolution layer; weights drawn from N(0, 0.01^2), zero bias."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, padding=0,
-                 dilation: int = 1, causal: bool = False, weight_std: float = 0.01):
-        self.weight = Tensor(rng.normal(0.0, weight_std, size=(out_channels, in_channels, kernel_size)),
+                 rng: np.random.Generator, stride: int = 1, padding: int = 0):
+        self.weight = Tensor(rng.normal(0.0, CONV_WEIGHT_STD,
+                                        size=(out_channels, in_channels, kernel_size)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
         self.padding = padding
-        self.dilation = dilation
-        self.causal = causal
 
     def __call__(self, x) -> Tensor:
-        return ad.conv1d(x, self.weight, self.bias, stride=self.stride,
-                         padding=self.padding, dilation=self.dilation, causal=self.causal)
+        return ad.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class WeightNormConv1d(Module):
-    """Convolution whose weight is gain * direction / ||direction|| per filter.
+    """Causal convolution whose weight is gain * direction / ||direction|| per filter.
 
     The gain starts at the direction's norm so the initial effective weight
     equals the raw N(0, 0.01^2) draw.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, dilation: int = 1,
-                 causal: bool = True, weight_std: float = 0.01):
-        v = rng.normal(0.0, weight_std, size=(out_channels, in_channels, kernel_size))
+                 rng: np.random.Generator, stride: int = 1, dilation: int = 1):
+        v = rng.normal(0.0, CONV_WEIGHT_STD, size=(out_channels, in_channels, kernel_size))
         self.direction = Tensor(v, requires_grad=True)
         self.gain = Tensor(np.sqrt((v * v).sum(axis=(1, 2))), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
         self.dilation = dilation
-        self.causal = causal
 
     def __call__(self, x) -> Tensor:
         w = ad.weight_norm(self.direction, self.gain)
-        return ad.conv1d(x, w, self.bias, stride=self.stride,
-                         dilation=self.dilation, causal=self.causal)
+        return ad.conv1d(x, w, self.bias, stride=self.stride, dilation=self.dilation,
+                         causal=True)
 
 
 class BatchNorm1d(Module):
     _buffers = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=ad.get_default_dtype())
         self.running_var = np.ones(channels, dtype=ad.get_default_dtype())
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x, train: bool) -> Tensor:
         return ad.batchnorm1d(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, train=train, eps=self.eps,
-                              momentum=self.momentum)
+                              self.running_var, train=train)
 
 
 class Dropout(Module):

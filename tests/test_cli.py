@@ -165,13 +165,17 @@ def test_only_run_takes_jobs_and_precision(tmp_path, capsys, command, flag, valu
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_run_rejects_jobs_below_one_with_error_json(dataset, tmp_path, capsys, jobs):
+@pytest.mark.parametrize("flag,value", [("--jobs", 0), ("--jobs", -1), ("--folds", 1),
+                                        ("--folds", 0), ("--epochs", 0), ("--batch-size", 0),
+                                        ("--batch-size", -4)])
+def test_run_rejects_run_sizes_below_minimum_with_error_json(dataset, tmp_path, capsys,
+                                                             flag, value):
     code = run_cli("run", "--data", dataset, "--model", "logreg", "--folds", 2,
-                   "--jobs", jobs, "--out", tmp_path / "out")
+                   flag, value, "--out", tmp_path / "out")
     err = json.loads(capsys.readouterr().err)
     assert code == 1
-    assert err["error"] == "ConfigError" and "jobs" in err["message"]
+    assert err["error"] == "ConfigError"
+    assert flag[2:].replace("-", " ") in err["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -202,9 +206,12 @@ def test_run_config_file_merges_under_flags(dataset, tmp_path):
 
 def test_run_config_rejects_unknown_keys(dataset, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
-    conf.write_text(f"data = {dataset}\nlearning_rate_decay = 0.1\n")
-    assert run_cli("run", "--config", conf, "--out", tmp_path) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    # a value outside its flag's choices is rejected like an unknown key
+    for bad in ("learning_rate_decay = 0.1", "splits = 7", "threshold = 10", "precision = f16"):
+        conf.write_text(f"data = {dataset}\n{bad}\n")
+        assert run_cli("run", "--config", conf, "--out", tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and f"{conf}:2:" in err["message"]
 
 
 def test_run_without_data_anywhere_fails(tmp_path, capsys):

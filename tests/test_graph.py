@@ -182,7 +182,7 @@ def test_cluster_schedule_from_fifty_nodes():
 
 def test_cluster_schedule_rejects_collapse():
     with pytest.raises(ConfigError):
-        cluster_schedule(2, levels=5)
+        cluster_schedule(4)
 
 
 def test_diffpool_single_cluster_sums_embeddings():
@@ -214,6 +214,18 @@ def test_diffpool_pooled_adjacency_stays_symmetric():
     _, pooled_a, _, _ = level(x, a, train=False)
     np.testing.assert_allclose(pooled_a.numpy(),
                                np.swapaxes(pooled_a.numpy(), -1, -2), atol=1e-5)
+
+
+def test_diffpool_link_loss_is_one_frobenius_norm_over_the_batch():
+    """Pinned: the link loss takes one norm over the whole batch, not a mean
+    of per-graph norms, so two copies of one graph give sqrt(2) times its loss."""
+    with ad.default_dtype("f64"):
+        level = DiffPoolLevel(3, 2, np.random.default_rng(5), hidden=4, out_features=3)
+        x = np.random.default_rng(6).normal(size=(1, 7, 3))
+        _, _, single, _ = level(Tensor(x), Tensor(ring(7)[None]), train=False)
+        _, _, pair, _ = level(Tensor(np.concatenate([x, x])), Tensor(np.stack([ring(7)] * 2)),
+                              train=False)
+    assert abs(pair.item() - np.sqrt(2.0) * single.item()) <= 1e-12
 
 
 def test_diffpool_stack_two_levels():
