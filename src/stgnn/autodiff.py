@@ -617,6 +617,7 @@ def _normalize_rows_backward(g_rows: np.ndarray, xhat: np.ndarray, inv: np.ndarr
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+WEIGHT_NORM_EPS = 1e-12
 
 
 def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
@@ -670,11 +671,11 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     return _make(y, conv_parents + (gamma, beta), backward_fn)
 
 
-def weight_norm(direction, gain, eps: float = 1e-12) -> Tensor:
+def weight_norm(direction, gain) -> Tensor:
     """Reparameterize a weight as gain * direction / ||direction|| per output channel.
 
-    The norm is taken over all axes but the first; ``eps`` guards a
-    zero-norm direction row.
+    The norm is taken over all axes but the first; ``WEIGHT_NORM_EPS`` guards
+    a zero-norm direction row.
     """
     direction = as_tensor(direction)
     gain = as_tensor(gain, like=direction)
@@ -683,6 +684,6 @@ def weight_norm(direction, gain, eps: float = 1e-12) -> Tensor:
     if gain.data.shape != (direction.data.shape[0],):
         raise ShapeError("gain must hold one scalar per output channel")
     axes = tuple(range(1, direction.data.ndim))
-    norm = add(sqrt(tsum(square(direction), axis=axes, keepdims=True)), eps)
+    norm = add(sqrt(tsum(square(direction), axis=axes, keepdims=True)), WEIGHT_NORM_EPS)
     gain_col = reshape(gain, (direction.data.shape[0],) + (1,) * (direction.data.ndim - 1))
     return mul(direction, div(gain_col, norm))

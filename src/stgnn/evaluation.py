@@ -14,13 +14,14 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, HarnessError, MetricError
+from .graph import pooling_losses
 from .models import ModelSpec, bce_loss, build_model
 from .nn import Adam, Linear
 from .prep import (GraphSample, SubjectRecord, balance_by_subject, build_samples,
@@ -142,9 +143,9 @@ def _tied_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def compute_metrics(scores, labels, threshold: float = 0.5) -> MetricReport:
+def compute_metrics(scores, labels) -> MetricReport:
     """AUC by the rank statistic (ties count one half), sensitivity and
-    specificity at the probability cut, and one ROC point per distinct score."""
+    specificity at the 0.5 probability cut, and one ROC point per distinct score."""
     scores = np.asarray(scores, dtype=np.float64)
     # NaN never equals itself, so the tie loops of the ranks and the ROC sweep would not advance
     if not np.all(np.isfinite(scores)):
@@ -157,7 +158,7 @@ def compute_metrics(scores, labels, threshold: float = 0.5) -> MetricReport:
         raise MetricError("both classes must be present to compute metrics")
     ranks = _tied_ranks(scores)
     auc = (ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    predicted = scores >= threshold
+    predicted = scores >= 0.5
     tp = int(np.sum(predicted & positive))
     tn = int(np.sum(~predicted & ~positive))
     sensitivity = tp / n_pos
@@ -256,14 +257,19 @@ class TrainOutcome:
 
 def _batch_loss(model, features, adjacency, labels, settings: TrainSettings,
                 train: bool) -> tuple[Tensor, dict[str, float]]:
-    probs, aux = model(features, adjacency, train=train)
+    probs, levels = model(features, adjacency, train=train)
     loss = bce_loss(probs, labels)
+    if not levels:
+        return loss, {"link": 0.0, "entropy": 0.0}
+    # the DiffPool terms are always logged, but taped only when a weight brings them in
+    weighted = settings.link_weight or settings.entropy_weight
+    with contextlib.nullcontext() if weighted else ad.no_tape():
+        link, entropy = pooling_losses(levels)
     if settings.link_weight:
-        loss = ad.add(loss, ad.mul(settings.link_weight, aux["link_loss"]))
+        loss = ad.add(loss, ad.mul(settings.link_weight, link))
     if settings.entropy_weight:
-        loss = ad.add(loss, ad.mul(settings.entropy_weight, aux["entropy_loss"]))
-    logged = {"link": aux["link_loss"].item(), "entropy": aux["entropy_loss"].item()}
-    return loss, logged
+        loss = ad.add(loss, ad.mul(settings.entropy_weight, entropy))
+    return loss, {"link": link.item(), "entropy": entropy.item()}
 
 
 def evaluate_loss(model, features, adjacency, labels, settings: TrainSettings,
@@ -379,36 +385,22 @@ def select_grid_winner(records: list[GridRecord]) -> GridRecord:
 # experiment orchestration ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FoldReport:
+    """One outer fold's outcome; the field order is its key order in results.json."""
+
     fold: int
     hyperparameters: dict
     auc: float
     sensitivity: float
     specificity: float
-    roc: list[tuple[float, float, float]]
-    train_curve: list[float]
-    val_curve: list[float]
     best_epoch: int
     best_val_loss: float
+    train_curve: list[float]
+    val_curve: list[float]
     link_curve: list[float] = field(default_factory=list)
     entropy_curve: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "hyperparameters": self.hyperparameters,
-            "auc": self.auc,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "train_curve": self.train_curve,
-            "val_curve": self.val_curve,
-            "link_curve": self.link_curve,
-            "entropy_curve": self.entropy_curve,
-            "roc": [list(point) for point in self.roc],
-        }
+    roc: list[tuple[float, float, float]]
 
 
 @dataclass
@@ -454,10 +446,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ConfigError(f"epochs must be at least 1; got {config.grid.epochs}")
     if config.grid.batch_size is not None and config.grid.batch_size < 1:
         raise ConfigError(f"batch size must be at least 1; got {config.grid.batch_size}")
-    records = load_manifest(config.manifest)
-    records = balance_by_subject(records, seed=derived_seed(config.seed, 0xBA1A))
-    if config.permute_labels:
-        _permute_subject_labels(records, config.seed)
+    if config.seed < 0:
+        raise ConfigError(f"seed must be non-negative; got {config.seed}")
+    for lr in config.grid.learning_rates:
+        if not (np.isfinite(lr) and lr > 0):
+            raise ConfigError(f"lr must be finite and positive; got {lr}")
+    for name, weight in (("link", config.link_weight), ("entropy", config.entropy_weight)):
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ConfigError(f"aux {name} weight must be finite and non-negative; got {weight}")
 
     is_baseline = config.model in BASELINE_MODELS
     spec: ModelSpec | None = None
@@ -470,6 +466,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
             config = replace(config, windows_per_scan=16)
         else:
             spec = replace(spec, windows_per_scan=config.windows_per_scan)
+    if (config.link_weight or config.entropy_weight) and (spec is None or spec.pooling == "mean"):
+        raise ConfigError(f"aux link and entropy weights apply only to DiffPool models; "
+                          f"{config.model} has no pooling terms")
+    records = load_manifest(config.manifest)
+    records = balance_by_subject(records, seed=derived_seed(config.seed, 0xBA1A))
+    if config.permute_labels:
+        _permute_subject_labels(records, config.seed)
 
     # only graph models read an adjacency; the baseline builds its own correlations
     threshold = spec.threshold_percent if spec is not None and spec.needs_graph else None
@@ -512,7 +515,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "entropy_weight": config.entropy_weight,
         },
         "seed": config.seed,
-        "folds": [r.to_dict() for r in fold_reports],
+        "folds": [{**asdict(r), "roc": [list(point) for point in r.roc]} for r in fold_reports],
         "aggregate": aggregate,
         "wall_clock_seconds": wall_clock,
     }

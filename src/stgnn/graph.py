@@ -1,5 +1,6 @@
 """Spatial layers: degree-normalized graph convolution, mean pooling,
-GraphSAGE message passing and the two-level differentiable pooling stack.
+GraphSAGE message passing, the two-level differentiable pooling stack and,
+from the (A, S, Sᵀ) of its levels, DiffPool's optional link and entropy terms.
 
 All layers operate on batched dense inputs: node features (B, N, F) and
 adjacency (B, N, N). Graphs never exchange information across the batch
@@ -8,6 +9,7 @@ axis because every matrix product is per-sample.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -111,8 +113,8 @@ class DiffPoolLevel(Module):
     """One differentiable pooling step: embed, assign, coarsen.
 
     Z comes from the embedding tower; S is the row-softmax of the assignment
-    tower. X' = S^T Z and A' = S^T A S, plus a link-reconstruction loss
-    ||A - S S^T||_F / n^2 and the mean row entropy of S.
+    tower. Returns X' = Sᵀ Z, S and the one Sᵀ node that every product with
+    Sᵀ shares.
     """
 
     def __init__(self, in_features: int, n_clusters: int, rng: np.random.Generator,
@@ -126,15 +128,7 @@ class DiffPoolLevel(Module):
         z = self.embed(x, adjacency, train=train)
         s = ad.softmax_rows(self.assign(x, adjacency, train=train))
         s_t = ad.transpose_last2(s)
-        pooled_x = ad.matmul(s_t, z)
-        adjacency = ad.as_tensor(adjacency, like=z)
-        pooled_a = ad.matmul(ad.matmul(s_t, adjacency), s)
-        n = adjacency.data.shape[-1]
-        residual = ad.sub(adjacency, ad.matmul(s, s_t))
-        link = ad.div(ad.sqrt(ad.tsum(ad.square(residual))), float(n * n))
-        entropy = ad.neg(ad.tmean(ad.tsum(
-            ad.mul(s, ad.log(ad.clip(s, 1e-12, 1.0))), axis=-1)))
-        return pooled_x, pooled_a, link, entropy
+        return ad.matmul(s_t, z), s, s_t
 
 
 POOL_LEVELS = 2
@@ -156,7 +150,8 @@ def cluster_schedule(n_nodes: int) -> list[int]:
 
 
 class DiffPoolStack(Module):
-    """Two pooling levels followed by a mean readout over surviving clusters."""
+    """Two pooling levels. Returns the pooled features and each level's
+    (A, S, Sᵀ); A' = Sᵀ A S is built only for a level that reads it."""
 
     def __init__(self, n_nodes: int, features: int, rng: np.random.Generator):
         self.schedule = cluster_schedule(n_nodes)
@@ -164,10 +159,24 @@ class DiffPoolStack(Module):
                                      out_features=features) for clusters in self.schedule]
 
     def __call__(self, x, adjacency, train: bool):
-        link_total = None
-        entropy_total = None
+        levels = []
         for level in self.levels:
-            x, adjacency, link, entropy = level(x, adjacency, train=train)
-            link_total = link if link_total is None else ad.add(link_total, link)
-            entropy_total = entropy if entropy_total is None else ad.add(entropy_total, entropy)
-        return x, adjacency, link_total, entropy_total
+            if levels:
+                a, s, s_t = levels[-1]
+                adjacency = ad.matmul(ad.matmul(s_t, a), s)
+            x, s, s_t = level(x, adjacency, train=train)
+            levels.append((adjacency, s, s_t))
+        return x, levels
+
+
+def pooling_losses(levels) -> tuple[Tensor, Tensor]:
+    """The link-reconstruction loss ||A - S Sᵀ||_F / n² (one norm over the
+    batch) and the mean row entropy of S, each summed over the levels."""
+    links, entropies = [], []
+    for adjacency, s, s_t in levels:
+        n = s.data.shape[-2]
+        residual = ad.sub(adjacency, ad.matmul(s, s_t))
+        links.append(ad.div(ad.sqrt(ad.tsum(ad.square(residual))), float(n * n)))
+        entropies.append(ad.neg(ad.tmean(ad.tsum(
+            ad.mul(s, ad.log(ad.clip(s, 1e-12, 1.0))), axis=-1))))
+    return functools.reduce(ad.add, links), functools.reduce(ad.add, entropies)

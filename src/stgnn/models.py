@@ -66,7 +66,7 @@ class ModelSpec:
 
     @classmethod
     def from_name(cls, name: str, threshold_percent: int | None = None,
-                  dropout: float = 0.0, seed: int = 0) -> "ModelSpec":
+                  seed: int = 0) -> "ModelSpec":
         """Parse a model name like mean_CNN_GCN5, diff20_TCN or mean_CNN_64split.
 
         A threshold embedded in the name wins over the ``threshold_percent``
@@ -106,8 +106,7 @@ class ModelSpec:
         percent = embedded if embedded is not None else (
             threshold_percent if threshold_percent is not None else 5)
         spec = cls(encoder=enc_tok, use_gcn=use_gcn, pooling=pooling,
-                   threshold_percent=percent, windows_per_scan=windows,
-                   dropout=dropout, seed=seed)
+                   threshold_percent=percent, windows_per_scan=windows, seed=seed)
         spec.validate()
         return spec
 
@@ -141,11 +140,11 @@ class GraphClassifier(Module):
         self.head = PredictionHead(spec.dropout, rng)
 
     def forward(self, features: np.ndarray, adjacency: np.ndarray | None,
-                train: bool) -> tuple[Tensor, dict[str, Tensor]]:
+                train: bool) -> tuple[Tensor, list]:
         """Map (B, N, T) features and (B, N, N) adjacency to probabilities.
 
-        Returns per-sample probability of the positive class plus auxiliary
-        pooling losses (zeros for mean pooling).
+        Returns per-sample probability of the positive class plus the
+        DiffPool levels' (A, S, Sᵀ) for ``pooling_losses`` ([] for mean pooling).
         """
         features = np.asarray(features)
         if features.ndim != 3:
@@ -167,13 +166,11 @@ class GraphClassifier(Module):
         if self.gcn is not None:
             operator = Tensor(normalized_adjacency(adjacency))
             h = self.gcn(h, operator)
-        zero = Tensor(np.zeros(()))
-        aux = {"link_loss": zero, "entropy_loss": zero}
+        levels = []
         if self.pool is not None:
-            h, _, link, entropy = self.pool(h, Tensor(np.asarray(adjacency)), train=train)
-            aux = {"link_loss": link, "entropy_loss": entropy}
+            h, levels = self.pool(h, Tensor(np.asarray(adjacency)), train=train)
         z = global_mean_pool(h)
-        return self.head(z, train=train), aux
+        return self.head(z, train=train), levels
 
     def __call__(self, features, adjacency, train: bool):
         return self.forward(features, adjacency, train=train)

@@ -49,6 +49,8 @@ class SynthConfig:
             raise ConfigError("effect_size must lie in [0, 1]")
         if self.signal not in SIGNAL_KINDS:
             raise ConfigError(f"signal must be one of {SIGNAL_KINDS}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def signal_subset(config: SynthConfig) -> np.ndarray:

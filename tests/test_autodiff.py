@@ -13,7 +13,8 @@ from matmul_reference import reference_matmul
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor, conv_output_length
 from stgnn.errors import ContractError, GeometryError, ShapeError
-from stgnn.models import ModelSpec, bce_loss, build_model
+from stgnn.evaluation import TrainSettings, _batch_loss
+from stgnn.models import ModelSpec, build_model
 from stgnn.nn import Adam
 
 
@@ -644,13 +645,17 @@ def ring_batch(b, n):
     return np.tile(ring + ring.T, (b, 1, 1))
 
 
-def one_step_loss(model, seed=0):
-    """The training loss of one (4, N, T) batch, with both pooling terms."""
+def one_step_loss(model, seed=0, weights=(1.0, 1.0)):
+    """The training loss of one (4, N, T) batch, built by ``_batch_loss`` with
+    the (link, entropy) pooling weights ``weights``."""
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(4, model.n_nodes, model.input_length)).astype(np.float32)
     labels = np.array([0.0, 1.0, 1.0, 0.0])
-    probs, aux = model(features, ring_batch(4, model.n_nodes), train=True)
-    return ad.add(bce_loss(probs, labels), ad.add(aux["link_loss"], aux["entropy_loss"]))
+    settings = TrainSettings(lr=1e-3, weight_decay=0.0, dropout=0.0, epochs=1, batch_size=4,
+                             link_weight=weights[0], entropy_weight=weights[1])
+    loss, _ = _batch_loss(model, features, ring_batch(4, model.n_nodes), labels, settings,
+                          train=True)
+    return loss
 
 
 def interior_activations(loss):
@@ -694,10 +699,15 @@ def test_consuming_backward_leaves_every_gradient_byte_equal(name, dtype, monkey
     assert step_gradients() == consumed
 
 
-@pytest.mark.parametrize("name", ["mean_CNN", "mean_CNN_GCN5", "diff5_TCN"])
-def test_every_closure_gets_a_gradient_no_other_node_or_parameter_holds(name, monkeypatch):
+@pytest.mark.parametrize("name,weights", [
+    pytest.param(name, weights, id=name + ("-weighted" if any(weights) else ""))
+    for name in ["mean_CNN", "mean_CNN_GCN5", "mean_TCN", "diff5_CNN", "diff5_TCN"]
+    for weights in [(0.0, 0.0), (1.0, 0.5)]])
+def test_every_closure_gets_a_gradient_no_other_node_or_parameter_holds(name, weights,
+                                                                         monkeypatch):
     """The rule ``Tensor.backward`` states and ``conv_bn_relu`` relies on to
-    mask its incoming gradient in place, over one full training step."""
+    mask its incoming gradient in place, over one full training step; and
+    that step records only nodes backward reaches, so every closure runs."""
     nodes, checked = [], []
     make = ad._make
 
@@ -720,11 +730,12 @@ def test_every_closure_gets_a_gradient_no_other_node_or_parameter_holds(name, mo
         model = build_model(ModelSpec.from_name(name, seed=3), 6, 32)
         params = model.parameters()
         optimizer = Adam(params, lr=1e-3)
-        loss = one_step_loss(model)
+        loss = one_step_loss(model, weights=weights)
         model.zero_grad()
         loss.backward()
         optimizer.step()
     assert len(checked) > 20
+    assert sorted(map(id, checked)) == sorted(map(id, nodes))
 
 
 def test_backward_through_a_consumed_tape_raises_and_changes_nothing():

@@ -179,6 +179,33 @@ def test_run_rejects_run_sizes_below_minimum_with_error_json(dataset, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,model,flag,value,message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1] or ''}{case[2]}={case[3]}") for case in [
+        ("synth", None, "--seed", -1, "seed"),
+        ("run", "diff5_CNN", "--seed", -1, "seed"),
+        ("run", "diff5_CNN", "--lr", -1, "lr"),
+        ("run", "diff5_CNN", "--lr", "nan", "lr"),
+        ("run", "diff5_CNN", "--aux-link-weight", -5, "aux link weight"),
+        ("run", "diff5_CNN", "--aux-entropy-weight", "inf", "aux entropy weight"),
+        *[("run", model, flag, 0.5, f"only to DiffPool models; {model}")
+          for model in ("mean_CNN", "mean_TCN_GCN5", "logreg", "logreg_bin")
+          for flag in ("--aux-link-weight", "--aux-entropy-weight")]]])
+def test_bad_seed_rate_or_aux_weight_fails_with_one_error_json_line(dataset, tmp_path, capsys,
+                                                                    command, model, flag, value,
+                                                                    message):
+    argv = {"synth": ["synth", "--subjects", 4, "--nodes", 5, "--length", 32],
+            "run": ["run", "--data", dataset, "--model", model, "--grid-fast",
+                    "--folds", 2]}[command]
+    code = run_cli(*argv, flag, value, "--out", tmp_path / "out")
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1 and "Traceback" not in captured
+    err = json.loads(captured)
+    assert err["error"] == "ConfigError"
+    assert message in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_file_merges_under_flags(dataset, tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(

@@ -282,10 +282,10 @@ def test_training_releases_each_step_tape_before_the_next_forward(monkeypatch):
         def __call__(self, features, adjacency, train):
             if train and steps:
                 assert steps[-1]() is None, f"step {len(steps) - 1}'s tape is still alive"
-            probs, aux = self.model(features, adjacency, train=train)
+            probs, levels = self.model(features, adjacency, train=train)
             if train:
                 steps.append(weakref.ref(probs.data))
-            return probs, aux
+            return probs, levels
 
     monkeypatch.setattr(evaluation, "build_model", lambda *args: Recording(build_model(*args)))
     outcome = _tiny_training()
@@ -307,9 +307,9 @@ def test_scoring_records_no_tape_and_matches_a_tape_forward(name, monkeypatch):
     outputs = []
 
     def recorded(features, adjacency, train):
-        probs, aux = model(features, adjacency, train=train)
+        probs, levels = model(features, adjacency, train=train)
         outputs.append(probs)
-        return probs, aux
+        return probs, levels
 
     def score():
         outputs.clear()
@@ -325,6 +325,29 @@ def test_scoring_records_no_tape_and_matches_a_tape_forward(name, monkeypatch):
     assert all(p.requires_grad and p._backward is not None for p in outputs)
     assert scores.tobytes() == tape_scores.tobytes()
     assert loss == tape_loss
+
+
+def test_unweighted_pooling_terms_are_logged_without_a_tape_and_change_nothing(monkeypatch):
+    """At weights (0, 0) the DiffPool terms are built under ``no_tape``: the
+    step's gradients and logged terms equal those of a step that tapes them."""
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(4, 6, 32)).astype(np.float32)
+    ring = np.roll(np.eye(6, dtype=np.float32), 1, axis=1)
+    adjacency = np.tile(ring + ring.T, (4, 1, 1))
+    labels = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.float32)
+    settings = TrainSettings(lr=1e-3, weight_decay=0.0, dropout=0.0, epochs=1, batch_size=4)
+
+    def step():
+        model = build_model(ModelSpec.from_name("diff5_TCN", seed=5), 6, 32)
+        loss, logged = evaluation._batch_loss(model, features, adjacency, labels, settings,
+                                              train=True)
+        loss.backward()
+        grads = {key: p.grad.tobytes() for key, p in model.named_parameters()}
+        return grads, {key: np.float64(value).tobytes() for key, value in logged.items()}
+
+    untaped = step()
+    monkeypatch.setattr(ad, "no_tape", contextlib.nullcontext)
+    assert step() == untaped
 
 
 def test_baseline_scores_each_test_fold_without_a_tape(monkeypatch):

@@ -9,7 +9,8 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.errors import ConfigError, ContractError
 from stgnn.graph import (DiffPoolLevel, DiffPoolStack, GCNLayer, GraphSAGELayer,
-                         SageTower, cluster_schedule, global_mean_pool, normalized_adjacency)
+                         SageTower, cluster_schedule, global_mean_pool, normalized_adjacency,
+                         pooling_losses)
 
 
 def ring(n):
@@ -190,10 +191,11 @@ def test_diffpool_single_cluster_sums_embeddings():
     level = DiffPoolLevel(3, 1, np.random.default_rng(1), hidden=4, out_features=3)
     x = Tensor(rng.normal(size=(1, 5, 3)).astype(np.float32))
     a = Tensor(ring(5)[None].astype(np.float32))
-    pooled_x, pooled_a, link, entropy = level(x, a, train=False)
+    pooled_x, s, s_t = level(x, a, train=False)
     z = level.embed(x, a, train=False)
     np.testing.assert_allclose(pooled_x.numpy()[0, 0], z.numpy()[0].sum(axis=0), rtol=1e-5)
-    np.testing.assert_allclose(pooled_a.numpy()[0, 0, 0], ring(5).sum(), rtol=1e-6)
+    np.testing.assert_array_equal(s_t.numpy(), np.swapaxes(s.numpy(), -1, -2))
+    _, entropy = pooling_losses([(a, s, s_t)])
     assert entropy.item() == pytest.approx(0.0, abs=1e-6)  # softmax over one logit
 
 
@@ -208,10 +210,15 @@ def test_diffpool_assignments_are_row_stochastic():
 
 def test_diffpool_pooled_adjacency_stays_symmetric():
     rng = np.random.default_rng(3)
-    level = DiffPoolLevel(3, 3, np.random.default_rng(4), hidden=4, out_features=3)
-    x = Tensor(rng.normal(size=(2, 8, 3)).astype(np.float32))
-    a = Tensor(np.stack([ring(8), ring(8)]).astype(np.float32))
-    _, pooled_a, _, _ = level(x, a, train=False)
+    stack = DiffPoolStack(12, 3, np.random.default_rng(4))
+    x = Tensor(rng.normal(size=(2, 12, 3)).astype(np.float32))
+    a = Tensor(np.stack([ring(12), ring(12)]).astype(np.float32))
+    _, levels = stack(x, a, train=False)
+    (first, s, _), (pooled_a, _, _) = levels
+    assert first is a
+    s = s.numpy()
+    np.testing.assert_allclose(pooled_a.numpy(), np.swapaxes(s, -1, -2) @ a.numpy() @ s,
+                               rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(pooled_a.numpy(),
                                np.swapaxes(pooled_a.numpy(), -1, -2), atol=1e-5)
 
@@ -219,12 +226,15 @@ def test_diffpool_pooled_adjacency_stays_symmetric():
 def test_diffpool_link_loss_is_one_frobenius_norm_over_the_batch():
     """Pinned: the link loss takes one norm over the whole batch, not a mean
     of per-graph norms, so two copies of one graph give sqrt(2) times its loss."""
+    def link_loss(x, a):
+        _, s, s_t = level(Tensor(x), Tensor(a), train=False)
+        return pooling_losses([(Tensor(a), s, s_t)])[0]
+
     with ad.default_dtype("f64"):
         level = DiffPoolLevel(3, 2, np.random.default_rng(5), hidden=4, out_features=3)
         x = np.random.default_rng(6).normal(size=(1, 7, 3))
-        _, _, single, _ = level(Tensor(x), Tensor(ring(7)[None]), train=False)
-        _, _, pair, _ = level(Tensor(np.concatenate([x, x])), Tensor(np.stack([ring(7)] * 2)),
-                              train=False)
+        single = link_loss(x, ring(7)[None])
+        pair = link_loss(np.concatenate([x, x]), np.stack([ring(7)] * 2))
     assert abs(pair.item() - np.sqrt(2.0) * single.item()) <= 1e-12
 
 
@@ -234,8 +244,11 @@ def test_diffpool_stack_two_levels():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(2, 50, 8)).astype(np.float32))
     a = Tensor(np.stack([ring(50), ring(50)]).astype(np.float32))
-    pooled, _, link, entropy = stack(x, a, train=False)
+    pooled, levels = stack(x, a, train=False)
     assert pooled.shape == (2, 4, 8)
+    assert [(a.shape, s.shape) for a, s, _ in levels] == [((2, 50, 50), (2, 50, 13)),
+                                                         ((2, 13, 13), (2, 13, 4))]
+    link, entropy = pooling_losses(levels)
     assert np.isfinite(link.item()) and np.isfinite(entropy.item())
 
 
@@ -251,7 +264,9 @@ def test_diffpool_level_gradients():
             a = Tensor(ring(5)[None])
 
             def loss_fn():
-                px, pa, link, ent = level(x, a, train=False)
+                px, s, s_t = level(x, a, train=False)
+                pa = ad.matmul(ad.matmul(s_t, a), s)
+                link, ent = pooling_losses([(a, s, s_t)])
                 return ad.add(ad.add(ad.tmean(ad.square(px)), ad.tmean(ad.square(pa))),
                               ad.add(link, ent))
 

@@ -10,6 +10,7 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.encoders import encoder_lengths
 from stgnn.errors import ConfigError, ShapeError
+from stgnn.graph import pooling_losses
 from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.nn import Adam
 
@@ -134,10 +135,10 @@ def test_zero_weight_head_outputs_half():
 def test_forward_outputs_probabilities(name):
     model = build_model(ModelSpec.from_name(name), 6, 32)
     features, adj, _ = random_batch(4, 6, 32, seed=1)
-    probs, aux = model(features, adj, train=False)
+    probs, levels = model(features, adj, train=False)
     assert probs.shape == (4,)
     assert np.all(probs.numpy() > 0) and np.all(probs.numpy() < 1)
-    assert set(aux) == {"link_loss", "entropy_loss"}
+    assert len(levels) == (2 if name.startswith("diff") else 0)
 
 
 def test_eval_output_independent_of_batch():
@@ -228,8 +229,10 @@ def test_models_agree_with_a_per_sample_loop_matmul(name, monkeypatch):
     def loss_and_gradients():
         model = build_model(ModelSpec.from_name(name, seed=2), 8, 32)
         features, adj, labels = random_batch(4, 8, 32, seed=7)
-        probs, aux = model(features, adj, train=True)
-        loss = ad.add(bce_loss(probs, labels), ad.add(aux["link_loss"], aux["entropy_loss"]))
+        probs, levels = model(features, adj, train=True)
+        loss = bce_loss(probs, labels)
+        if levels:
+            loss = ad.add(loss, ad.add(*pooling_losses(levels)))
         loss.backward()
         return loss.item(), {key: p.grad for key, p in model.named_parameters()}
 
