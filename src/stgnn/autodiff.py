@@ -96,7 +96,7 @@ class Tensor:
         ``ContractError`` before running any closure. The gradient a closure
         receives is its node's own: no other node or leaf holds it, since
         ``_accumulate`` copies unless its caller hands over a ``fresh`` array
-        it keeps no other use of. So a closure may overwrite it in place.
+        it keeps no other use of. So a closure may overwrite it or hand it on.
         """
         if self.data.size != 1:
             raise ContractError("backward() expects a scalar loss")
@@ -126,8 +126,8 @@ class Tensor:
                 node._backward(node.grad)
                 node._backward = _consumed
                 node._parents = ()
-                if node is not self:
-                    node.grad = None
+                node.grad = None
+        self.grad = np.ones_like(self.data)  # the walk's own may have been handed on
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -293,7 +293,7 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward_fn(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(a, g.reshape(a.data.shape), fresh=True)  # ``g`` is this node's own
 
     return _make(data, (a,), backward_fn)
 
@@ -466,15 +466,33 @@ def conv_output_length(length: int, kernel: int, stride: int, pad_total: int, di
 
 
 def _taps(length: int, kernel: int, stride: int, dilation: int, pad_left: int, l_out: int):
-    """For each kernel tap k that reads real input (not padding): k, the output
-    steps that read it, and the input positions they read, in order."""
+    """For each kernel tap k: k, the output steps that read real input through it (none
+    if only padding), its input phase r (r, r+stride, …) and its slice of that phase."""
     for k in range(kernel):
         offset = k * dilation - pad_left  # input position read by output step 0
         first = max(0, -(offset // stride))
-        stop = min(l_out, (length - 1 - offset) // stride + 1)
-        if stop > first:
-            start = first * stride + offset
-            yield k, slice(first, stop), slice(start, start + (stop - first - 1) * stride + 1, stride)
+        stop = max(first, min(l_out, (length - 1 - offset) // stride + 1))
+        index, phase = divmod(first * stride + offset, stride)
+        yield k, slice(first, stop), phase, slice(index, index + stop - first)
+
+
+_CHUNK = 1 << 17  # input elements per batch chunk of a conv's taps: 512 KB of f32 stays in L2
+_SHARED_BYTES = 32 << 20
+_buffers: dict = {}  # dtype -> the one scratch array the conv columns and ``spread`` share
+
+
+def _buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Uninitialised scratch. glibc maps each array of ``_SHARED_BYTES`` or more fresh, with
+    pages the kernel zeroes on first touch, so those share one array per dtype, grown to fit.
+    The backward's convs reuse it; a forward drops it after its GEMM, since held it would sit
+    under the batchnorm and every later activation. Smaller ones come from malloc's free lists."""
+    size = int(np.prod(shape))
+    if size * dtype.itemsize < _SHARED_BYTES:
+        return np.empty(shape, dtype)
+    if dtype not in _buffers or _buffers[dtype].size < size:
+        _buffers.pop(dtype, None)  # freed before its successor is allocated
+        _buffers[dtype] = np.empty(size, dtype)
+    return _buffers[dtype][:size].reshape(shape)
 
 
 def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: bool):
@@ -503,7 +521,8 @@ def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: 
         raise GeometryError(f"conv1d output length {l_out} for L={length}, K={kernel}, "
                             f"stride={stride}, pad=({pad_left},{pad_right}), dilation={dilation}")
     taps = list(_taps(length, kernel, stride, dilation, pad_left, l_out))
-    out = weight.data.reshape(c_out, c_in * kernel) @ _columns(x.data, kernel, l_out, taps)
+    out = weight.data.reshape(c_out, c_in * kernel) @ _columns(x.data, kernel, l_out, taps, stride)
+    _buffers.clear()  # a forward op holds no scratch past its GEMM (see ``_buffer``)
     if bias is None:
         return out.reshape(c_out, batch, l_out), (x, weight), taps
     b_t = as_tensor(bias, like=x)
@@ -513,17 +532,26 @@ def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: 
     return out.reshape(c_out, batch, l_out), (x, weight, b_t), taps
 
 
-def _columns(x: np.ndarray, kernel: int, l_out: int, taps) -> np.ndarray:
-    """The (C_in*K, B*L_out) columns of (B, C_in, L) input, zero where a tap reads padding."""
-    batch, c_in, _ = x.shape
-    cols = np.zeros((c_in, kernel, batch, l_out), dtype=x.dtype)
-    for k, steps, positions in taps:
-        cols[:, k, :, steps] = x.swapaxes(0, 1)[:, :, positions]
+def _columns(x: np.ndarray, kernel: int, l_out: int, taps, stride: int) -> np.ndarray:
+    """The (C_in*K, B*L_out) columns of (B, C_in, L) input in the shared buffer, zeroed
+    where a tap reads padding; each tap copies its phase slice a cache-sized chunk at a time."""
+    batch, c_in, length = x.shape
+    cols = _buffer((c_in, kernel, batch, l_out), x.dtype)
+    for k, steps, _, _ in taps:
+        cols[:, k, :, :steps.start] = 0
+        cols[:, k, :, steps.stop:] = 0
+    xt = x.swapaxes(0, 1)
+    step = max(1, _CHUNK // (c_in * length))
+    for b in range(0, batch, step):
+        for k, steps, r, span in taps:
+            cols[:, k, b:b + step, steps] = xt[:, b:b + step, r::stride][:, :, span]
     return cols.reshape(c_in * kernel, batch * l_out)
 
 
-def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps) -> None:
-    """Accumulate the conv gradients from the (C_out, B, L_out) output gradient."""
+def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps, stride: int) -> None:
+    """Accumulate the conv gradients from the (C_out, B, L_out) output gradient.
+    ``spread`` (Wᵀ g) lands in the shared buffer; each tap adds its rows into its input
+    phase, chunked as in ``_columns``; a phase two or more taps write is summed apart first."""
     x, weight, *bias = parents
     _, c_in, kernel = weight.data.shape
     c_out, batch, l_out = g.shape
@@ -531,15 +559,23 @@ def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps) -> None:
     g2 = g.reshape(c_out, batch * l_out)
     if weight.requires_grad:
         # rebuilt rather than kept: the columns are K times the input
-        _accumulate(weight, (g2 @ _columns(x.data, kernel, l_out, taps).T).reshape(weight.data.shape),
-                    fresh=True)
+        grad_w = g2 @ _columns(x.data, kernel, l_out, taps, stride).T  # frees the columns
+        _accumulate(weight, grad_w.reshape(weight.data.shape), fresh=True)
     if bias and bias[0].requires_grad:
         _accumulate(bias[0], g2.sum(axis=1), fresh=True)
     if x.requires_grad:
-        spread = (weight.data.reshape(c_out, -1).T @ g2).reshape(c_in, kernel, batch, l_out)
+        spread = _buffer((c_in, kernel, batch, l_out), g2.dtype)
+        np.matmul(weight.data.reshape(c_out, -1).T, g2, out=spread.reshape(c_in * kernel, -1))
         grad = np.zeros((c_in, batch, length), dtype=spread.dtype)
-        for k, steps, positions in taps:
-            grad[:, :, positions] += spread[:, k, :, steps]
+        step = max(1, _CHUNK // (c_in * length))
+        shared = {r for _, _, r, _ in taps if stride > 1 and sum(t[2] == r for t in taps) > 1}
+        for b in range(0, batch, step):
+            sums = {r: np.zeros_like(grad[:, b:b + step, r::stride]) for r in shared}
+            for k, steps, r, span in taps:
+                phase = sums[r] if r in sums else grad[:, b:b + step, r::stride]
+                phase[:, :, span] += spread[:, k, b:b + step, steps]
+            for r, total in sums.items():
+                grad[:, b:b + step, r::stride] = total
         _accumulate(x, grad.swapaxes(0, 1), fresh=True)
 
 
@@ -554,12 +590,13 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
     The work runs channel-major: each pass is one GEMM against the
     (C_in*K, B*L_out) columns of the input (zero where a tap reads padding),
     and the output is a (B, C_out, L_out) view of a (C_out, B, L_out) array,
-    so a following per-channel reduction reads contiguous memory.
+    so a following per-channel reduction reads contiguous memory. The columns
+    and the backward's ``spread`` (Wᵀ g) share one reused scratch array.
     """
     out, parents, taps = _conv_forward(x, weight, bias, stride, padding, dilation, causal)
 
     def backward_fn(g):
-        _conv_backward(g.swapaxes(0, 1), parents, taps)
+        _conv_backward(g.swapaxes(0, 1), parents, taps, stride)
 
     return _make(out.swapaxes(0, 1), parents, backward_fn)
 
@@ -654,7 +691,7 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     result is normalized in place into ``xhat`` and the ReLU runs in place, so
     the op allocates and keeps two activation-sized arrays, and backward takes
     the ReLU mask from the output (in-place activated batchnorm, Rota Bulò et
-    al. 2018, arXiv:1712.02616)."""
+    al. 2018, arXiv:1712.02616). Its conv shares ``conv1d``'s columns and buffer."""
     conv, conv_parents, taps = _conv_forward(x, weight, bias, stride, padding, 1, False)
     gamma = as_tensor(gamma, like=conv_parents[0])
     beta = as_tensor(beta, like=conv_parents[0])
@@ -666,7 +703,7 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
         g *= y > 0  # ``g`` is this node's own (see ``Tensor.backward``)
         gx = _normalize_rows_backward(g.swapaxes(0, 1).reshape(xhat.shape), xhat, inv, gamma,
                                       beta, train)
-        _conv_backward(gx.reshape(conv.shape), conv_parents, taps)
+        _conv_backward(gx.reshape(conv.shape), conv_parents, taps, stride)
 
     return _make(y, conv_parents + (gamma, beta), backward_fn)
 

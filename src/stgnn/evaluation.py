@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, HarnessError, MetricError
-from .graph import pooling_losses
+from .graph import entropy_loss, link_loss
 from .models import ModelSpec, bce_loss, build_model
 from .nn import Adam, Linear
 from .prep import (GraphSample, SubjectRecord, balance_by_subject, build_samples,
@@ -259,17 +259,16 @@ def _batch_loss(model, features, adjacency, labels, settings: TrainSettings,
                 train: bool) -> tuple[Tensor, dict[str, float]]:
     probs, levels = model(features, adjacency, train=train)
     loss = bce_loss(probs, labels)
-    if not levels:
-        return loss, {"link": 0.0, "entropy": 0.0}
-    # the DiffPool terms are always logged, but taped only when a weight brings them in
-    weighted = settings.link_weight or settings.entropy_weight
-    with contextlib.nullcontext() if weighted else ad.no_tape():
-        link, entropy = pooling_losses(levels)
-    if settings.link_weight:
-        loss = ad.add(loss, ad.mul(settings.link_weight, link))
-    if settings.entropy_weight:
-        loss = ad.add(loss, ad.mul(settings.entropy_weight, entropy))
-    return loss, {"link": link.item(), "entropy": entropy.item()}
+    logged = {"link": 0.0, "entropy": 0.0}
+    for name, term, weight in (("link", link_loss, settings.link_weight),
+                               ("entropy", entropy_loss, settings.entropy_weight)):
+        if levels and (weight or train):  # logged in training, taped only when weighted
+            with contextlib.nullcontext() if weight else ad.no_tape():
+                value = term(levels)
+            if weight:
+                loss = ad.add(loss, ad.mul(weight, value))
+            logged[name] = value.item()
+    return loss, logged
 
 
 def evaluate_loss(model, features, adjacency, labels, settings: TrainSettings,

@@ -169,14 +169,18 @@ class DiffPoolStack(Module):
         return x, levels
 
 
-def pooling_losses(levels) -> tuple[Tensor, Tensor]:
-    """The link-reconstruction loss ||A - S Sᵀ||_F / n² (one norm over the
-    batch) and the mean row entropy of S, each summed over the levels."""
-    links, entropies = [], []
+def link_loss(levels) -> Tensor:
+    """The link loss ||A - S Sᵀ||_F / n² (one norm over the batch), summed over levels."""
+    terms = []
     for adjacency, s, s_t in levels:
         n = s.data.shape[-2]
         residual = ad.sub(adjacency, ad.matmul(s, s_t))
-        links.append(ad.div(ad.sqrt(ad.tsum(ad.square(residual))), float(n * n)))
-        entropies.append(ad.neg(ad.tmean(ad.tsum(
-            ad.mul(s, ad.log(ad.clip(s, 1e-12, 1.0))), axis=-1))))
-    return functools.reduce(ad.add, links), functools.reduce(ad.add, entropies)
+        terms.append(ad.div(ad.sqrt(ad.tsum(ad.square(residual))), float(n * n)))
+    return functools.reduce(ad.add, terms)
+
+
+def entropy_loss(levels) -> Tensor:
+    """The mean row entropy of S, summed over the levels."""
+    terms = [ad.neg(ad.tmean(ad.tsum(ad.mul(s, ad.log(ad.clip(s, 1e-12, 1.0))), axis=-1)))
+             for _, s, _ in levels]
+    return functools.reduce(ad.add, terms)

@@ -144,7 +144,7 @@ class GraphClassifier(Module):
         """Map (B, N, T) features and (B, N, N) adjacency to probabilities.
 
         Returns per-sample probability of the positive class plus the
-        DiffPool levels' (A, S, Sᵀ) for ``pooling_losses`` ([] for mean pooling).
+        DiffPool levels' (A, S, Sᵀ) for the pooling losses ([] for mean pooling).
         """
         features = np.asarray(features)
         if features.ndim != 3:

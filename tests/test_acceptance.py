@@ -19,8 +19,8 @@ from stgnn.cli import main as cli_main
 from stgnn.encoders import TcnEncoder
 from stgnn.evaluation import (ExperimentConfig, HyperGrid, baseline_flat_correlation,
                               compute_metrics, plan_folds, run_experiment)
-from stgnn.graph import (DiffPoolLevel, GCNLayer, GraphSAGELayer, normalized_adjacency,
-                         pooling_losses)
+from stgnn.graph import (DiffPoolLevel, GCNLayer, GraphSAGELayer, entropy_loss, link_loss,
+                         normalized_adjacency)
 from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.nn import Linear
 from stgnn.prep import (covariance_to_correlation, ledoit_wolf_covariance,
@@ -154,7 +154,7 @@ def _check_diffpool(seed, h=1e-5):
     def loss_fn():
         px, s, s_t = level(x, a, train=False)
         pa = ad.matmul(ad.matmul(s_t, a), s)
-        link, ent = pooling_losses([(a, s, s_t)])
+        link, ent = link_loss([(a, s, s_t)]), entropy_loss([(a, s, s_t)])
         return ad.add(ad.add(ad.tmean(ad.square(px)), ad.tmean(ad.square(pa))),
                       ad.add(link, ent))
 

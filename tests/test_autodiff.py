@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gradcheck import TOLERANCE, gradcheck, random_projection_loss
 from matmul_reference import reference_matmul
@@ -13,8 +13,8 @@ from matmul_reference import reference_matmul
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor, conv_output_length
 from stgnn.errors import ContractError, GeometryError, ShapeError
-from stgnn.evaluation import TrainSettings, _batch_loss
-from stgnn.models import ModelSpec, build_model
+from stgnn.evaluation import TrainSettings, _batch_loss, predict_scores
+from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.nn import Adam
 
 
@@ -179,11 +179,37 @@ def _conv_with_grads(x_data, w_data, b_data, kwargs, g=None):
     return out.numpy(), x.grad, w.grad, b.grad, g
 
 
+class NanBuffers(dict):
+    """Conv scratch buffers that start out NaN, so any column or ``spread``
+    entry a conv reads without writing it first shows in its results."""
+
+    def __setitem__(self, dtype, array):
+        array.fill(np.nan)
+        self.allocated = True
+        super().__setitem__(dtype, array)
+
+
+def nan_buffers(monkeypatch):
+    """Send every conv scratch request, however small, to NaN-filled shared
+    buffers. Returns a check that the conv used them."""
+    buffers = NanBuffers()
+    monkeypatch.setattr(ad, "_SHARED_BYTES", 0)
+    monkeypatch.setattr(ad, "_buffers", buffers)
+    return lambda: getattr(buffers, "allocated", False)
+
+
+# taps that read only padding: every tap (int padding) and the first two (causal)
+@example(case={"shape": (2, 2, 1), "c_out": 2, "kernel": 2, "pads": (3, 3), "seed": 0,
+               "kwargs": {"stride": 1, "dilation": 4, "padding": 3, "causal": False}})
+@example(case={"shape": (2, 3, 3), "c_out": 2, "kernel": 3, "pads": (8, 0), "seed": 1,
+               "kwargs": {"stride": 2, "dilation": 4, "padding": 0, "causal": True}})
 @PROPERTY
-@given(conv_cases())
-def test_conv1d_matches_nested_loop_reference(case):
+@given(case=conv_cases())
+def test_conv1d_matches_nested_loop_reference(case, monkeypatch):
     x, w, b = _conv_inputs(case)
+    used_nan_buffers = nan_buffers(monkeypatch)
     out, gx, gw, gb, g = _conv_with_grads(x, w, b, case["kwargs"])
+    assert used_nan_buffers()
     expected = reference_conv1d(x, w, b, g, case["kwargs"]["stride"], *case["pads"],
                                 case["kwargs"]["dilation"])
     for got, want in zip((out, gx, gw, gb), expected):
@@ -399,6 +425,69 @@ def test_conv_bn_relu_is_bit_equal_to_relu_batchnorm_conv(case):
         if expected is not None:
             assert (value.dtype, value.shape) == (expected.dtype, expected.shape)
             assert value.tobytes() == expected.tobytes()
+
+
+def reference_conv_bn_relu(case):
+    """``_block_with_grads`` for the fused block, with the conv and its
+    gradients from the nested loop and batchnorm and ReLU as separate ops."""
+    rng = np.random.default_rng(case["seed"])
+    c_out, stride, pad = case["c_out"], case["stride"], case["padding"]
+    x = rng.normal(size=(case["batch"], case["c_in"], case["length"]))
+    w, b, gamma, beta = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in
+                         ((c_out, case["c_in"], case["kernel"]), c_out, c_out, c_out))
+    rm = rng.normal(size=c_out)
+    rv = rng.uniform(0.5, 2.0, size=c_out)
+    l_out = conv_output_length(case["length"], case["kernel"], stride, 2 * pad, 1)
+    no_grad = np.zeros((case["batch"], c_out, l_out))
+    conv = Tensor(reference_conv1d(x, w.data, b.data, no_grad, stride, pad, pad, 1)[0],
+                  requires_grad=True)
+    out = ad.relu(ad.batchnorm1d(conv, gamma, beta, rm, rv, train=case["train"]))
+    probe = Tensor(np.random.default_rng(case["seed"] + 1).normal(size=out.shape))
+    ad.tsum(ad.mul(out, probe)).backward()
+    _, gx, gw, gb = reference_conv1d(x, w.data, b.data, conv.grad, stride, pad, pad, 1)
+    return [out.data, rm, rv, gx if case["x_grad"] else None, gw, gb, gamma.grad, beta.grad]
+
+
+# the only tap reads only padding
+@example(case={"batch": 2, "c_in": 2, "c_out": 2, "kernel": 1, "length": 1, "stride": 2,
+               "padding": 3, "train": False, "dtype": "f64", "x_grad": True, "seed": 0})
+@PROPERTY
+@given(case=conv_bn_relu_cases())
+def test_conv_bn_relu_matches_nested_loop_conv_then_batchnorm_and_relu(case, monkeypatch):
+    case = {**case, "dtype": "f64"}
+    l_out = conv_output_length(case["length"], case["kernel"], case["stride"],
+                               2 * case["padding"], 1)
+    if case["train"] and case["batch"] * l_out < 2:
+        return
+    used_nan_buffers = nan_buffers(monkeypatch)
+    got = _block_with_grads(case, fused=True)
+    assert used_nan_buffers()
+    for value, expected in zip(got, reference_conv_bn_relu(case)):
+        if expected is None:
+            assert value is None
+        else:
+            np.testing.assert_allclose(value, expected, rtol=1e-10, atol=1e-10)
+
+
+def test_scoring_leaves_no_conv_buffer_for_training_to_hold(monkeypatch):
+    """A forward drops the scratch buffer after its GEMM, so a large scoring
+    pass leaves none behind, and the training steps after it hold no more."""
+    monkeypatch.setattr(ad, "_SHARED_BYTES", 0)  # at this small geometry too
+    rng = np.random.default_rng(0)
+    model = build_model(ModelSpec.from_name("mean_CNN", seed=1), 6, 64)
+    features = rng.normal(size=(32, 6, 64))
+    labels = np.arange(4) % 2
+
+    def step_buffer_size():
+        bce_loss(model(features[:4], None, train=True)[0], labels).backward()
+        model.zero_grad()
+        return ad._buffers[np.dtype(ad.get_default_dtype())].size
+
+    ad._buffers.clear()
+    first = step_buffer_size()
+    predict_scores(model, features, None)
+    assert not ad._buffers
+    assert step_buffer_size() <= first
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -700,9 +789,10 @@ def test_consuming_backward_leaves_every_gradient_byte_equal(name, dtype, monkey
 
 
 @pytest.mark.parametrize("name,weights", [
-    pytest.param(name, weights, id=name + ("-weighted" if any(weights) else ""))
+    pytest.param(name, weights, id=name + suffix)
     for name in ["mean_CNN", "mean_CNN_GCN5", "mean_TCN", "diff5_CNN", "diff5_TCN"]
-    for weights in [(0.0, 0.0), (1.0, 0.5)]])
+    for weights, suffix in [((0.0, 0.0), ""), ((1.0, 0.5), "-weighted"),
+                            ((1.0, 0.0), "-link"), ((0.0, 0.5), "-entropy")]])
 def test_every_closure_gets_a_gradient_no_other_node_or_parameter_holds(name, weights,
                                                                          monkeypatch):
     """The rule ``Tensor.backward`` states and ``conv_bn_relu`` relies on to

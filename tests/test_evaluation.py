@@ -350,6 +350,35 @@ def test_unweighted_pooling_terms_are_logged_without_a_tape_and_change_nothing(m
     assert step() == untaped
 
 
+@pytest.mark.parametrize("weights,taped", [((0.0, 0.0), []), ((1.0, 0.0), ["link"]),
+                                           ((0.0, 0.5), ["entropy"])])
+def test_pooling_terms_are_built_only_where_read_and_taped_only_where_weighted(
+        weights, taped, monkeypatch):
+    """Training logs both DiffPool terms and tapes only a weighted one;
+    ``evaluate_loss`` reads only the loss, so it builds only weighted terms."""
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(4, 6, 32)).astype(np.float32)
+    ring = np.roll(np.eye(6, dtype=np.float32), 1, axis=1)
+    adjacency = np.tile(ring + ring.T, (4, 1, 1))
+    labels = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.float32)
+    settings = TrainSettings(lr=1e-3, weight_decay=0.0, dropout=0.0, epochs=1, batch_size=4,
+                             link_weight=weights[0], entropy_weight=weights[1])
+    model = build_model(ModelSpec.from_name("diff5_TCN", seed=5), 6, 32)
+    built = []
+    for name in ("link", "entropy"):
+        def term(levels, name=name, build=getattr(evaluation, f"{name}_loss")):
+            out = build(levels)
+            built.append((name, out.requires_grad))
+            return out
+
+        monkeypatch.setattr(evaluation, f"{name}_loss", term)
+    evaluation._batch_loss(model, features, adjacency, labels, settings, train=True)
+    assert built == [("link", "link" in taped), ("entropy", "entropy" in taped)]
+    built.clear()
+    evaluation.evaluate_loss(model, features, adjacency, labels, settings, chunk=2)
+    assert built == [(name, False) for name in taped for _ in range(2)]
+
+
 def test_baseline_scores_each_test_fold_without_a_tape(monkeypatch):
     sigmoid = ad.sigmoid
     taped = []

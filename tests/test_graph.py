@@ -9,8 +9,8 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.errors import ConfigError, ContractError
 from stgnn.graph import (DiffPoolLevel, DiffPoolStack, GCNLayer, GraphSAGELayer,
-                         SageTower, cluster_schedule, global_mean_pool, normalized_adjacency,
-                         pooling_losses)
+                         SageTower, cluster_schedule, entropy_loss, global_mean_pool, link_loss,
+                         normalized_adjacency)
 
 
 def ring(n):
@@ -195,7 +195,7 @@ def test_diffpool_single_cluster_sums_embeddings():
     z = level.embed(x, a, train=False)
     np.testing.assert_allclose(pooled_x.numpy()[0, 0], z.numpy()[0].sum(axis=0), rtol=1e-5)
     np.testing.assert_array_equal(s_t.numpy(), np.swapaxes(s.numpy(), -1, -2))
-    _, entropy = pooling_losses([(a, s, s_t)])
+    entropy = entropy_loss([(a, s, s_t)])
     assert entropy.item() == pytest.approx(0.0, abs=1e-6)  # softmax over one logit
 
 
@@ -226,15 +226,15 @@ def test_diffpool_pooled_adjacency_stays_symmetric():
 def test_diffpool_link_loss_is_one_frobenius_norm_over_the_batch():
     """Pinned: the link loss takes one norm over the whole batch, not a mean
     of per-graph norms, so two copies of one graph give sqrt(2) times its loss."""
-    def link_loss(x, a):
+    def link_of(x, a):
         _, s, s_t = level(Tensor(x), Tensor(a), train=False)
-        return pooling_losses([(Tensor(a), s, s_t)])[0]
+        return link_loss([(Tensor(a), s, s_t)])
 
     with ad.default_dtype("f64"):
         level = DiffPoolLevel(3, 2, np.random.default_rng(5), hidden=4, out_features=3)
         x = np.random.default_rng(6).normal(size=(1, 7, 3))
-        single = link_loss(x, ring(7)[None])
-        pair = link_loss(np.concatenate([x, x]), np.stack([ring(7)] * 2))
+        single = link_of(x, ring(7)[None])
+        pair = link_of(np.concatenate([x, x]), np.stack([ring(7)] * 2))
     assert abs(pair.item() - np.sqrt(2.0) * single.item()) <= 1e-12
 
 
@@ -248,7 +248,7 @@ def test_diffpool_stack_two_levels():
     assert pooled.shape == (2, 4, 8)
     assert [(a.shape, s.shape) for a, s, _ in levels] == [((2, 50, 50), (2, 50, 13)),
                                                          ((2, 13, 13), (2, 13, 4))]
-    link, entropy = pooling_losses(levels)
+    link, entropy = link_loss(levels), entropy_loss(levels)
     assert np.isfinite(link.item()) and np.isfinite(entropy.item())
 
 
@@ -266,7 +266,7 @@ def test_diffpool_level_gradients():
             def loss_fn():
                 px, s, s_t = level(x, a, train=False)
                 pa = ad.matmul(ad.matmul(s_t, a), s)
-                link, ent = pooling_losses([(a, s, s_t)])
+                link, ent = link_loss([(a, s, s_t)]), entropy_loss([(a, s, s_t)])
                 return ad.add(ad.add(ad.tmean(ad.square(px)), ad.tmean(ad.square(pa))),
                               ad.add(link, ent))
 

@@ -10,7 +10,7 @@ from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.encoders import encoder_lengths
 from stgnn.errors import ConfigError, ShapeError
-from stgnn.graph import pooling_losses
+from stgnn.graph import entropy_loss, link_loss
 from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.nn import Adam
 
@@ -232,7 +232,7 @@ def test_models_agree_with_a_per_sample_loop_matmul(name, monkeypatch):
         probs, levels = model(features, adj, train=True)
         loss = bce_loss(probs, labels)
         if levels:
-            loss = ad.add(loss, ad.add(*pooling_losses(levels)))
+            loss = ad.add(loss, ad.add(link_loss(levels), entropy_loss(levels)))
         loss.backward()
         return loss.item(), {key: p.grad for key, p in model.named_parameters()}
 
