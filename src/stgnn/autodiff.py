@@ -128,6 +128,7 @@ class Tensor:
                 node._parents = ()
                 node.grad = None
         self.grad = np.ones_like(self.data)  # the walk's own may have been handed on
+        _buffers.clear()  # conv scratch lives only within one pass (see ``_buffer``)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -477,18 +478,15 @@ def _taps(length: int, kernel: int, stride: int, dilation: int, pad_left: int, l
 
 
 _CHUNK = 1 << 17  # input elements per batch chunk of a conv's taps: 512 KB of f32 stays in L2
-_SHARED_BYTES = 32 << 20
 _buffers: dict = {}  # dtype -> the one scratch array the conv columns and ``spread`` share
 
 
 def _buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Uninitialised scratch. glibc maps each array of ``_SHARED_BYTES`` or more fresh, with
-    pages the kernel zeroes on first touch, so those share one array per dtype, grown to fit.
-    The backward's convs reuse it; a forward drops it after its GEMM, since held it would sit
-    under the batchnorm and every later activation. Smaller ones come from malloc's free lists."""
+    """Uninitialised scratch: one array per dtype, grown to fit, since a fresh large array
+    is mapped with pages the kernel zeroes on first touch. The backward's convs reuse it and
+    ``Tensor.backward`` drops it after its walk; a forward drops it after its GEMM, since held
+    it would sit under the batchnorm and every later activation."""
     size = int(np.prod(shape))
-    if size * dtype.itemsize < _SHARED_BYTES:
-        return np.empty(shape, dtype)
     if dtype not in _buffers or _buffers[dtype].size < size:
         _buffers.pop(dtype, None)  # freed before its successor is allocated
         _buffers[dtype] = np.empty(size, dtype)
@@ -558,8 +556,9 @@ def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps, stride: int
     length = x.data.shape[2]
     g2 = g.reshape(c_out, batch * l_out)
     if weight.requires_grad:
-        # rebuilt rather than kept: the columns are K times the input
-        grad_w = g2 @ _columns(x.data, kernel, l_out, taps, stride).T  # frees the columns
+        # rebuilt rather than kept, as the columns are K times the input; ``spread``
+        # below is written into the same scratch array
+        grad_w = g2 @ _columns(x.data, kernel, l_out, taps, stride).T
         _accumulate(weight, grad_w.reshape(weight.data.shape), fresh=True)
     if bias and bias[0].requires_grad:
         _accumulate(bias[0], g2.sum(axis=1), fresh=True)

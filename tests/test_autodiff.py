@@ -193,7 +193,6 @@ def nan_buffers(monkeypatch):
     """Send every conv scratch request, however small, to NaN-filled shared
     buffers. Returns a check that the conv used them."""
     buffers = NanBuffers()
-    monkeypatch.setattr(ad, "_SHARED_BYTES", 0)
     monkeypatch.setattr(ad, "_buffers", buffers)
     return lambda: getattr(buffers, "allocated", False)
 
@@ -469,25 +468,32 @@ def test_conv_bn_relu_matches_nested_loop_conv_then_batchnorm_and_relu(case, mon
             np.testing.assert_allclose(value, expected, rtol=1e-10, atol=1e-10)
 
 
-def test_scoring_leaves_no_conv_buffer_for_training_to_hold(monkeypatch):
-    """A forward drops the scratch buffer after its GEMM, so a large scoring
-    pass leaves none behind, and the training steps after it hold no more."""
-    monkeypatch.setattr(ad, "_SHARED_BYTES", 0)  # at this small geometry too
+def test_no_conv_scratch_outlives_a_training_step_or_a_scoring_pass(monkeypatch):
+    """A forward drops the scratch buffer after its GEMM and a backward after
+    its walk, so neither a step nor a large scoring pass leaves one to hold."""
+    sizes = []
+
+    class Recording(dict):
+        def __setitem__(self, dtype, array):
+            sizes.append(array.size)
+            super().__setitem__(dtype, array)
+
+    monkeypatch.setattr(ad, "_buffers", Recording())
     rng = np.random.default_rng(0)
     model = build_model(ModelSpec.from_name("mean_CNN", seed=1), 6, 64)
     features = rng.normal(size=(32, 6, 64))
     labels = np.arange(4) % 2
 
-    def step_buffer_size():
+    def step():
         bce_loss(model(features[:4], None, train=True)[0], labels).backward()
         model.zero_grad()
-        return ad._buffers[np.dtype(ad.get_default_dtype())].size
 
-    ad._buffers.clear()
-    first = step_buffer_size()
+    step()
+    assert sizes and not ad._buffers
     predict_scores(model, features, None)
     assert not ad._buffers
-    assert step_buffer_size() <= first
+    step()
+    assert not ad._buffers
 
 
 @pytest.mark.parametrize("train", [True, False])
