@@ -128,7 +128,6 @@ class Tensor:
                 node._parents = ()
                 node.grad = None
         self.grad = np.ones_like(self.data)  # the walk's own may have been handed on
-        _buffers.clear()  # conv scratch lives only within one pass (see ``_buffer``)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -384,11 +383,14 @@ def matmul(a, b) -> Tensor:
 
         def fold_backward(g):
             g2 = g.reshape(-1, cols)
+            rows = a.data.reshape(-1, inner)  # rebuilt rather than kept: a copy for a strided view
             if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), fresh=True)
+                # in the memory order of ``rows``: a flattened time-major conv output gets a
+                # time-major gradient, which the conv's backward reads without a copy
+                ga = g2 @ b.data.T if rows.flags.c_contiguous else (b.data @ g2.T).T
+                _accumulate(a, ga.reshape(a.data.shape), fresh=True)
             if b.requires_grad:
-                # rows rebuilt rather than kept: a copy when ``a`` is a strided view
-                _accumulate(b, a.data.reshape(-1, inner).T @ g2, fresh=True)
+                _accumulate(b, rows.T @ g2, fresh=True)
 
         return _make(data, (a, b), fold_backward)
     data = a.data @ b.data
@@ -467,35 +469,54 @@ def conv_output_length(length: int, kernel: int, stride: int, pad_total: int, di
 
 
 def _taps(length: int, kernel: int, stride: int, dilation: int, pad_left: int, l_out: int):
-    """For each kernel tap k: k, the output steps that read real input through it (none
-    if only padding), its input phase r (r, r+stride, …) and its slice of that phase."""
+    """For each kernel tap: the input step that output step 0 reads through it, and the
+    output steps [first, stop) that read real input through it (none if only padding)."""
     for k in range(kernel):
-        offset = k * dilation - pad_left  # input position read by output step 0
+        offset = k * dilation - pad_left
         first = max(0, -(offset // stride))
-        stop = max(first, min(l_out, (length - 1 - offset) // stride + 1))
-        index, phase = divmod(first * stride + offset, stride)
-        yield k, slice(first, stop), phase, slice(index, index + stop - first)
+        yield offset, first, max(first, min(l_out, (length - 1 - offset) // stride + 1))
 
 
-_CHUNK = 1 << 17  # input elements per batch chunk of a conv's taps: 512 KB of f32 stays in L2
-_buffers: dict = {}  # dtype -> the one scratch array the conv columns and ``spread`` share
+def _tap_spans(taps, stride: int, t0: int, t1: int):
+    """For each tap k of output steps [t0, t1): k, the chunk steps [lo, hi) that read
+    real input through it, and the input step that chunk step ``lo`` reads."""
+    for k, (offset, first, stop) in enumerate(taps):
+        a, b = min(max(first, t0), t1), min(max(stop, t0), t1)
+        yield k, a - t0, b - t0, a * stride + offset
 
 
-def _buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Uninitialised scratch: one array per dtype, grown to fit, since a fresh large array
-    is mapped with pages the kernel zeroes on first touch. The backward's convs reuse it and
-    ``Tensor.backward`` drops it after its walk; a forward drops it after its GEMM, since held
-    it would sit under the batchnorm and every later activation."""
-    size = int(np.prod(shape))
-    if dtype not in _buffers or _buffers[dtype].size < size:
-        _buffers.pop(dtype, None)  # freed before its successor is allocated
-        _buffers[dtype] = np.empty(size, dtype)
-    return _buffers[dtype][:size].reshape(shape)
+_CHUNK = 1 << 20  # column elements per output-time chunk: 4 MB of f32, built and used in cache
+
+
+def _scratch(size: int, dtype) -> np.ndarray:
+    """Uninitialised scratch for one conv pass, which dies with the pass; tests
+    substitute NaN-filled arrays to catch entries read before they are written."""
+    return np.empty(size, dtype)
+
+
+def _chunks(c_in: int, kernel: int, batch: int, l_out: int, dtype):
+    """Yield (t0, t1, block) for the output-time chunks [t0, t1) of a conv, each with a
+    (C_in, K, t1-t0, B) view of one scratch array of about ``_CHUNK`` elements. Last chunk
+    first, so every input step's gradient adds its taps in ascending order."""
+    step = max(1, _CHUNK // (c_in * kernel * batch))
+    flat = _scratch(c_in * kernel * min(step, l_out) * batch, dtype)
+    for t0 in reversed(range(0, l_out, step)):
+        t1 = min(t0 + step, l_out)
+        yield t0, t1, flat[:c_in * kernel * (t1 - t0) * batch].reshape(c_in, kernel, -1, batch)
+
+
+def _columns(xt: np.ndarray, taps, stride: int, t0: int, t1: int, block: np.ndarray) -> None:
+    """Fill ``block`` with the columns of output steps [t0, t1) of time-major (C_in, L, B)
+    input, zero where a tap reads padding: each tap copies whole B-long input rows."""
+    for k, lo, hi, i in _tap_spans(taps, stride, t0, t1):
+        block[:, k, :lo] = 0
+        block[:, k, hi:] = 0
+        block[:, k, lo:hi] = xt[:, i::stride][:, :hi - lo]
 
 
 def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: bool):
-    """Validate a conv1d call and run its GEMM: the channel-major (C_out, B,
-    L_out) result, the tape parents (x, weight[, bias]), and the ``_taps``."""
+    """Validate a conv1d call and run its GEMMs: the time-major (C_out, L_out, B)
+    result, the tape parents (x, weight[, bias]), and the ``_taps``."""
     x = as_tensor(x)
     weight = as_tensor(weight, like=x)
     if x.data.ndim != 3 or weight.data.ndim != 3:
@@ -518,64 +539,56 @@ def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: 
     if l_out <= 0:
         raise GeometryError(f"conv1d output length {l_out} for L={length}, K={kernel}, "
                             f"stride={stride}, pad=({pad_left},{pad_right}), dilation={dilation}")
+    parents = (x, weight)
+    if bias is not None:
+        parents += (as_tensor(bias, like=x),)
+        if parents[2].data.shape != (c_out,):
+            raise ShapeError(f"conv1d bias must have shape ({c_out},)")
     taps = list(_taps(length, kernel, stride, dilation, pad_left, l_out))
-    out = weight.data.reshape(c_out, c_in * kernel) @ _columns(x.data, kernel, l_out, taps, stride)
-    _buffers.clear()  # a forward op holds no scratch past its GEMM (see ``_buffer``)
-    if bias is None:
-        return out.reshape(c_out, batch, l_out), (x, weight), taps
-    b_t = as_tensor(bias, like=x)
-    if b_t.data.shape != (c_out,):
-        raise ShapeError(f"conv1d bias must have shape ({c_out},)")
-    out += b_t.data[:, None]
-    return out.reshape(c_out, batch, l_out), (x, weight, b_t), taps
-
-
-def _columns(x: np.ndarray, kernel: int, l_out: int, taps, stride: int) -> np.ndarray:
-    """The (C_in*K, B*L_out) columns of (B, C_in, L) input in the shared buffer, zeroed
-    where a tap reads padding; each tap copies its phase slice a cache-sized chunk at a time."""
-    batch, c_in, length = x.shape
-    cols = _buffer((c_in, kernel, batch, l_out), x.dtype)
-    for k, steps, _, _ in taps:
-        cols[:, k, :, :steps.start] = 0
-        cols[:, k, :, steps.stop:] = 0
-    xt = x.swapaxes(0, 1)
-    step = max(1, _CHUNK // (c_in * length))
-    for b in range(0, batch, step):
-        for k, steps, r, span in taps:
-            cols[:, k, b:b + step, steps] = xt[:, b:b + step, r::stride][:, :, span]
-    return cols.reshape(c_in * kernel, batch * l_out)
+    xt = np.ascontiguousarray(x.data.transpose(1, 2, 0))  # no copy for a conv output
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    out = np.empty((c_out, l_out * batch), np.result_type(w2, xt))
+    for t0, t1, block in _chunks(c_in, kernel, batch, l_out, out.dtype):
+        _columns(xt, taps, stride, t0, t1, block)
+        rows = out[:, t0 * batch:t1 * batch]
+        np.matmul(w2, block.reshape(c_in * kernel, -1), out=rows)
+        if bias is not None:
+            rows += parents[2].data[:, None]
+    return out.reshape(c_out, l_out, batch), parents, taps
 
 
 def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps, stride: int) -> None:
-    """Accumulate the conv gradients from the (C_out, B, L_out) output gradient.
-    ``spread`` (Wᵀ g) lands in the shared buffer; each tap adds its rows into its input
-    phase, chunked as in ``_columns``; a phase two or more taps write is summed apart first."""
+    """Accumulate the conv gradients from the time-major (C_out, L_out, B) output
+    gradient, one output-time chunk at a time in one scratch array: the chunk's columns
+    for ``grad_w += g Colsᵀ``, then ``spread`` = Wᵀ g over them, whose rows each tap adds
+    into its input steps of the time-major input gradient."""
     x, weight, *bias = parents
-    _, c_in, kernel = weight.data.shape
-    c_out, batch, l_out = g.shape
-    length = x.data.shape[2]
-    g2 = g.reshape(c_out, batch * l_out)
-    if weight.requires_grad:
-        # rebuilt rather than kept, as the columns are K times the input; ``spread``
-        # below is written into the same scratch array
-        grad_w = g2 @ _columns(x.data, kernel, l_out, taps, stride).T
-        _accumulate(weight, grad_w.reshape(weight.data.shape), fresh=True)
+    c_out, c_in, kernel = weight.data.shape
+    batch, _, length = x.data.shape
+    l_out = g.shape[1]
+    g2 = np.ascontiguousarray(g).reshape(c_out, l_out * batch)
     if bias and bias[0].requires_grad:
         _accumulate(bias[0], g2.sum(axis=1), fresh=True)
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    if weight.requires_grad:
+        xt = np.ascontiguousarray(x.data.transpose(1, 2, 0))
+        grad_w = np.zeros(w2.shape, g2.dtype)
     if x.requires_grad:
-        spread = _buffer((c_in, kernel, batch, l_out), g2.dtype)
-        np.matmul(weight.data.reshape(c_out, -1).T, g2, out=spread.reshape(c_in * kernel, -1))
-        grad = np.zeros((c_in, batch, length), dtype=spread.dtype)
-        step = max(1, _CHUNK // (c_in * length))
-        shared = {r for _, _, r, _ in taps if stride > 1 and sum(t[2] == r for t in taps) > 1}
-        for b in range(0, batch, step):
-            sums = {r: np.zeros_like(grad[:, b:b + step, r::stride]) for r in shared}
-            for k, steps, r, span in taps:
-                phase = sums[r] if r in sums else grad[:, b:b + step, r::stride]
-                phase[:, :, span] += spread[:, k, b:b + step, steps]
-            for r, total in sums.items():
-                grad[:, b:b + step, r::stride] = total
-        _accumulate(x, grad.swapaxes(0, 1), fresh=True)
+        grad = np.zeros((c_in, length, batch), g2.dtype)
+    for t0, t1, block in _chunks(c_in, kernel, batch, l_out, g2.dtype):
+        g_chunk = g2[:, t0 * batch:t1 * batch]
+        cols = block.reshape(c_in * kernel, -1)
+        if weight.requires_grad:
+            _columns(xt, taps, stride, t0, t1, block)
+            grad_w += g_chunk @ cols.T
+        if x.requires_grad:
+            np.matmul(w2.T, g_chunk, out=cols)  # ``spread`` replaces the columns
+            for k, lo, hi, i in _tap_spans(taps, stride, t0, t1):
+                grad[:, i::stride][:, :hi - lo] += block[:, k, lo:hi]
+    if weight.requires_grad:
+        _accumulate(weight, grad_w.reshape(weight.data.shape), fresh=True)
+    if x.requires_grad:
+        _accumulate(x, grad.transpose(2, 0, 1), fresh=True)
 
 
 def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
@@ -586,18 +599,19 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
     ``causal=True`` overrides it with a left-only pad of (kernel-1)*dilation,
     so output position t never sees inputs mapped after t.
 
-    The work runs channel-major: each pass is one GEMM against the
-    (C_in*K, B*L_out) columns of the input (zero where a tap reads padding),
-    and the output is a (B, C_out, L_out) view of a (C_out, B, L_out) array,
-    so a following per-channel reduction reads contiguous memory. The columns
-    and the backward's ``spread`` (Wᵀ g) share one reused scratch array.
+    The work runs time-major: the output is a (B, C_out, L_out) view of a
+    (C_out, L_out, B) array, so each (channel, step) row holds B contiguous
+    samples and a following per-channel reduction reads contiguous memory.
+    Each pass runs over chunks of output steps, one GEMM per chunk against its
+    (C_in*K, steps*B) columns (zero where a tap reads padding); a chunk's
+    columns and the backward's ``spread`` (Wᵀ g) share one cache-sized array.
     """
     out, parents, taps = _conv_forward(x, weight, bias, stride, padding, dilation, causal)
 
     def backward_fn(g):
-        _conv_backward(g.swapaxes(0, 1), parents, taps, stride)
+        _conv_backward(g.transpose(1, 2, 0), parents, taps, stride)
 
-    return _make(out.swapaxes(0, 1), parents, backward_fn)
+    return _make(out.transpose(2, 0, 1), parents, backward_fn)
 
 
 def _normalize_rows(rows: np.ndarray, gamma: Tensor, beta: Tensor, running_mean, running_var,
@@ -662,25 +676,25 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
 
     Train mode uses batch statistics and updates the running buffers in
     place; eval mode normalizes with the running statistics. The work runs
-    on (C, values) rows, which are contiguous when the input is the
-    channel-major output of ``conv1d``.
+    on (C, values) rows in (C, [L,] B) order, which are contiguous when the
+    input is the time-major output of ``conv1d``.
     """
     x = as_tensor(x)
     gamma = as_tensor(gamma, like=x)
     beta = as_tensor(beta, like=x)
     if x.data.ndim not in (2, 3):
         raise ShapeError("batchnorm1d expects (B, C) or (B, C, L) input")
-    # (C, B[, L]) -> (C, count): a view for channel-major input and for 2D input
-    layout = x.data.swapaxes(0, 1).shape
-    xhat, out, inv = _normalize_rows(x.data.swapaxes(0, 1).reshape(layout[0], -1), gamma, beta,
-                                     running_mean, running_var, train, eps, momentum, False)
+    # (C, [L,] B) -> (C, count): a view for time-major input and for 2D input
+    layout = np.moveaxis(x.data, 0, -1).shape
+    xhat, out, inv = _normalize_rows(np.moveaxis(x.data, 0, -1).reshape(layout[0], -1), gamma,
+                                     beta, running_mean, running_var, train, eps, momentum, False)
 
     def backward_fn(g):
-        gx = _normalize_rows_backward(g.swapaxes(0, 1).reshape(layout[0], -1), xhat, inv,
+        gx = _normalize_rows_backward(np.moveaxis(g, 0, -1).reshape(layout[0], -1), xhat, inv,
                                       gamma, beta, train)
-        _accumulate(x, gx.reshape(layout).swapaxes(0, 1), fresh=True)
+        _accumulate(x, np.moveaxis(gx.reshape(layout), -1, 0), fresh=True)
 
-    return _make(out.reshape(layout).swapaxes(0, 1), (x, gamma, beta), backward_fn)
+    return _make(np.moveaxis(out.reshape(layout), -1, 0), (x, gamma, beta), backward_fn)
 
 
 def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
@@ -690,19 +704,24 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
     result is normalized in place into ``xhat`` and the ReLU runs in place, so
     the op allocates and keeps two activation-sized arrays, and backward takes
     the ReLU mask from the output (in-place activated batchnorm, Rota Bulò et
-    al. 2018, arXiv:1712.02616). Its conv shares ``conv1d``'s columns and buffer."""
+    al. 2018, arXiv:1712.02616). Its conv is ``conv1d``'s. In train mode the
+    batchnorm removes the conv bias, so its gradient is exactly 0, not the
+    roundoff of a sum that cancels, which Adam would scale to full-size steps."""
     conv, conv_parents, taps = _conv_forward(x, weight, bias, stride, padding, 1, False)
     gamma = as_tensor(gamma, like=conv_parents[0])
     beta = as_tensor(beta, like=conv_parents[0])
     xhat, out, inv = _normalize_rows(conv.reshape(conv.shape[0], -1), gamma, beta,
                                      running_mean, running_var, train, BN_EPS, BN_MOMENTUM, True)
-    y = np.maximum(out, 0, out=out).reshape(conv.shape).swapaxes(0, 1)
+    y = np.maximum(out, 0, out=out).reshape(conv.shape).transpose(2, 0, 1)
 
     def backward_fn(g):
         g *= y > 0  # ``g`` is this node's own (see ``Tensor.backward``)
-        gx = _normalize_rows_backward(g.swapaxes(0, 1).reshape(xhat.shape), xhat, inv, gamma,
-                                      beta, train)
-        _conv_backward(gx.reshape(conv.shape), conv_parents, taps, stride)
+        gx = _normalize_rows_backward(g.transpose(1, 2, 0).reshape(xhat.shape), xhat, inv,
+                                      gamma, beta, train)
+        _conv_backward(gx.reshape(conv.shape), conv_parents[:2] if train else conv_parents,
+                       taps, stride)
+        if train and len(conv_parents) == 3:
+            _accumulate(conv_parents[2], np.zeros_like(conv_parents[2].data), fresh=True)
 
     return _make(y, conv_parents + (gamma, beta), backward_fn)
 

@@ -294,6 +294,7 @@ def predict_scores(model, features, adjacency, chunk: int = 256) -> np.ndarray:
     return np.concatenate(out)
 
 
+@np.errstate(all="ignore")  # a diverging point fails on its non-finite loss, not a warning
 def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
                      train_data, val_data, settings: TrainSettings,
                      seed: int) -> TrainOutcome:

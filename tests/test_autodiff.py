@@ -179,22 +179,27 @@ def _conv_with_grads(x_data, w_data, b_data, kwargs, g=None):
     return out.numpy(), x.grad, w.grad, b.grad, g
 
 
-class NanBuffers(dict):
-    """Conv scratch buffers that start out NaN, so any column or ``spread``
-    entry a conv reads without writing it first shows in its results."""
-
-    def __setitem__(self, dtype, array):
-        array.fill(np.nan)
-        self.allocated = True
-        super().__setitem__(dtype, array)
-
-
 def nan_buffers(monkeypatch):
-    """Send every conv scratch request, however small, to NaN-filled shared
-    buffers. Returns a check that the conv used them."""
-    buffers = NanBuffers()
-    monkeypatch.setattr(ad, "_buffers", buffers)
-    return lambda: getattr(buffers, "allocated", False)
+    """Make every conv scratch array start out NaN, so any column or ``spread``
+    entry a conv reads without writing it first shows in its results.
+    Returns a check that the conv used one."""
+    allocated = []
+
+    def scratch(size, dtype):
+        allocated.append(size)
+        return np.full(size, np.nan, dtype)
+
+    monkeypatch.setattr(ad, "_scratch", scratch)
+    return lambda: bool(allocated)
+
+
+def in_both_chunkings(monkeypatch, check):
+    """Run ``check`` with the real chunk size, then with one output step per chunk,
+    which puts chunk boundaries inside cases that fit one chunk at the real size."""
+    check()
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_CHUNK", 1)
+        check()
 
 
 # taps that read only padding: every tap (int padding) and the first two (causal)
@@ -207,12 +212,16 @@ def nan_buffers(monkeypatch):
 def test_conv1d_matches_nested_loop_reference(case, monkeypatch):
     x, w, b = _conv_inputs(case)
     used_nan_buffers = nan_buffers(monkeypatch)
-    out, gx, gw, gb, g = _conv_with_grads(x, w, b, case["kwargs"])
-    assert used_nan_buffers()
-    expected = reference_conv1d(x, w, b, g, case["kwargs"]["stride"], *case["pads"],
-                                case["kwargs"]["dilation"])
-    for got, want in zip((out, gx, gw, gb), expected):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    def check():
+        out, gx, gw, gb, g = _conv_with_grads(x, w, b, case["kwargs"])
+        assert used_nan_buffers()
+        expected = reference_conv1d(x, w, b, g, case["kwargs"]["stride"], *case["pads"],
+                                    case["kwargs"]["dilation"])
+        for got, want in zip((out, gx, gw, gb), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    in_both_chunkings(monkeypatch, check)
 
 
 @PROPERTY
@@ -400,8 +409,12 @@ def _block_with_grads(case, fused):
         if fused:
             out = ad.conv_bn_relu(x, w, b, gamma, beta, rm, rv, case["train"], **conv)
         else:
-            out = ad.relu(ad.batchnorm1d(ad.conv1d(x, w, b, **conv), gamma, beta, rm, rv,
+            # train-mode batchnorm removes the bias, which the fused op's exact 0 reflects
+            bias = Tensor(b.data) if case["train"] else b
+            out = ad.relu(ad.batchnorm1d(ad.conv1d(x, w, bias, **conv), gamma, beta, rm, rv,
                                          train=case["train"]))
+            if case["train"]:
+                b.grad = np.zeros_like(b.data)
         probe = Tensor(np.random.default_rng(case["seed"] + 1).normal(size=out.shape))
         ad.tsum(ad.mul(out, probe)).backward()
     return [out.data, rm, rv] + [t.grad for t in (x, w, b, gamma, beta)]
@@ -444,6 +457,8 @@ def reference_conv_bn_relu(case):
     probe = Tensor(np.random.default_rng(case["seed"] + 1).normal(size=out.shape))
     ad.tsum(ad.mul(out, probe)).backward()
     _, gx, gw, gb = reference_conv1d(x, w.data, b.data, conv.grad, stride, pad, pad, 1)
+    if case["train"]:
+        gb = np.zeros_like(gb)
     return [out.data, rm, rv, gx if case["x_grad"] else None, gw, gb, gamma.grad, beta.grad]
 
 
@@ -459,26 +474,52 @@ def test_conv_bn_relu_matches_nested_loop_conv_then_batchnorm_and_relu(case, mon
     if case["train"] and case["batch"] * l_out < 2:
         return
     used_nan_buffers = nan_buffers(monkeypatch)
-    got = _block_with_grads(case, fused=True)
-    assert used_nan_buffers()
-    for value, expected in zip(got, reference_conv_bn_relu(case)):
-        if expected is None:
-            assert value is None
-        else:
-            np.testing.assert_allclose(value, expected, rtol=1e-10, atol=1e-10)
+    expected = reference_conv_bn_relu(case)
+
+    def check():
+        got = _block_with_grads(case, fused=True)
+        assert used_nan_buffers()
+        for value, want in zip(got, expected):
+            if want is None:
+                assert value is None
+            else:
+                np.testing.assert_allclose(value, want, rtol=1e-10, atol=1e-10)
+
+    in_both_chunkings(monkeypatch, check)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_conv_bn_relu_train_mode_bias_gradient_is_exactly_zero(dtype):
+    rng = np.random.default_rng(4)
+    with ad.default_dtype(dtype):
+        x = Tensor(rng.normal(size=(4, 3, 20)))
+        w = Tensor(rng.normal(size=(5, 3, 7)), requires_grad=True)
+        b, gamma, beta = (Tensor(rng.normal(size=5), requires_grad=True) for _ in range(3))
+        for train in (True, False):
+            rm, rv = np.zeros(5, w.data.dtype), np.ones(5, w.data.dtype)
+            out = ad.conv_bn_relu(x, w, b, gamma, beta, rm, rv, train, stride=2, padding=3)
+            b.grad = None
+            ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+            assert b.grad.dtype == w.data.dtype
+            assert not b.grad.any() if train else b.grad.all()
 
 
 def test_no_conv_scratch_outlives_a_training_step_or_a_scoring_pass(monkeypatch):
-    """A forward drops the scratch buffer after its GEMM and a backward after
-    its walk, so neither a step nor a large scoring pass leaves one to hold."""
-    sizes = []
+    """Each conv pass allocates one chunk-sized scratch array and drops it when
+    it returns, so neither a step nor a large scoring pass leaves one to hold."""
+    alive, sizes = [], []
 
-    class Recording(dict):
-        def __setitem__(self, dtype, array):
-            sizes.append(array.size)
-            super().__setitem__(dtype, array)
+    def scratch(size, dtype):
+        array = np.empty(size, dtype)
+        alive.append(weakref.ref(array))
+        sizes.append(size)
+        return array
 
-    monkeypatch.setattr(ad, "_buffers", Recording())
+    def no_scratch_left():
+        return all(ref() is None for ref in alive)
+
+    monkeypatch.setattr(ad, "_scratch", scratch)
+    monkeypatch.setattr(ad, "_CHUNK", 4096)
     rng = np.random.default_rng(0)
     model = build_model(ModelSpec.from_name("mean_CNN", seed=1), 6, 64)
     features = rng.normal(size=(32, 6, 64))
@@ -489,11 +530,13 @@ def test_no_conv_scratch_outlives_a_training_step_or_a_scoring_pass(monkeypatch)
         model.zero_grad()
 
     step()
-    assert sizes and not ad._buffers
+    assert sizes and no_scratch_left()
     predict_scores(model, features, None)
-    assert not ad._buffers
+    assert no_scratch_left()
     step()
-    assert not ad._buffers
+    assert no_scratch_left()
+    # chunk-sized: at most one output step of the last block when scoring 32 samples
+    assert max(sizes) <= 32 * 7 * (32 * 6)
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -663,6 +706,17 @@ def test_matmul_other_shapes_match_per_sample_loop(leads, n, k, m, grads, seed):
         assert out.tobytes() == (a_data @ b_data).tobytes()
         assert grads[0] is False or ga.tobytes() == (g @ b_data.T).tobytes()
         assert grads[1] is False or gb.tobytes() == (a_data.T @ g).tobytes()
+
+
+def test_flattened_time_major_input_gets_a_time_major_gradient():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(4, 5, 6)).transpose(2, 0, 1), requires_grad=True)
+    w = Tensor(rng.normal(size=(20, 3)), requires_grad=True)
+    g = rng.normal(size=(6, 3))
+    ad.tsum(ad.mul(ad.matmul(ad.flatten_rows(x), w), Tensor(g))).backward()
+    assert x.grad.transpose(1, 2, 0).flags.c_contiguous  # no transposing copy
+    np.testing.assert_allclose(x.grad, (g @ w.data.T).reshape(x.data.shape), rtol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.reshape(6, 20).T @ g, rtol=1e-12)
 
 
 def test_matmul_weight_gradient_builds_no_per_sample_stack():

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,20 @@ def test_bad_seed_rate_or_aux_weight_fails_with_one_error_json_line(dataset, tmp
     assert err["error"] == "ConfigError"
     assert message in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lr", ["1e30", "1e308"])
+def test_diverging_run_fails_with_one_error_json_line_and_no_numpy_warning(dataset, tmp_path,
+                                                                           capsys, lr):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--data", dataset, "--model", "mean_CNN", "--grid-fast",
+                       "--folds", 2, "--lr", lr, "--out", tmp_path / "out")
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1 and "Warning" not in captured
+    assert json.loads(captured)["error"] == "HarnessError"
+    assert not caught
 
 
 def test_run_config_file_merges_under_flags(dataset, tmp_path):

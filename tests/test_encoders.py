@@ -138,10 +138,14 @@ def test_encoder_end_to_end_gradients(encoder_cls):
 
 
 def composed_block_activations(self, x, train: bool = False):
-    """``CnnEncoder.block_activations`` as separate conv1d, batchnorm1d and relu ops."""
+    """``CnnEncoder.block_activations`` as separate conv1d, batchnorm1d and relu ops.
+    In train mode the bias is a constant, since the batchnorm removes it: the fused
+    op gives it an exact zero gradient, which Adam steps like no gradient."""
     acts, h = [], x
     for conv, norm in zip(self.convs, self.norms):
-        h = ad.relu(norm(conv(h), train=train))
+        bias = Tensor(conv.bias.data) if train else conv.bias
+        h = ad.conv1d(h, conv.weight, bias, stride=conv.stride, padding=conv.padding)
+        h = ad.relu(norm(h, train=train))
         acts.append(h)
     return acts
 
@@ -162,7 +166,9 @@ def training_step_state(name, dtype, steps=2):
             optimizer.step()
             with ad.no_tape():
                 scores = model(features, adjacency, train=False)[0].numpy()
-            states.append({**{k: p.grad.tobytes() for k, p in model.named_parameters()},
+            grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad
+                     for k, p in model.named_parameters()}
+            states.append({**{k: g.tobytes() for k, g in grads.items()},
                            **{k: b.tobytes() for k, b in model.named_buffers()},
                            "scores": scores.tobytes()})
     return states
