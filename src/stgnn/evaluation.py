@@ -25,7 +25,7 @@ from .graph import entropy_loss, link_loss
 from .models import ModelSpec, bce_loss, build_model
 from .nn import Adam, Linear
 from .prep import (GraphSample, SubjectRecord, balance_by_subject, build_samples,
-                   load_manifest, stack_samples, threshold_edges, window_correlation)
+                   load_manifest, stack_samples, window_adjacency, window_correlation)
 
 
 def derived_rng(*parts: int) -> np.random.Generator:
@@ -130,16 +130,17 @@ class MetricReport:
     roc: list[tuple[float, float, float]]  # (threshold, fpr, tpr)
 
 
+def _tie_groups(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of every run of equal values in a sorted array."""
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return starts, np.r_[starts[1:], ordered.size] - 1
+
+
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="mergesort")
+    starts, ends = _tie_groups(values[order])
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -147,7 +148,7 @@ def compute_metrics(scores, labels) -> MetricReport:
     """AUC by the rank statistic (ties count one half), sensitivity and
     specificity at the 0.5 probability cut, and one ROC point per distinct score."""
     scores = np.asarray(scores, dtype=np.float64)
-    # NaN never equals itself, so the tie loops of the ranks and the ROC sweep would not advance
+    # NaN never equals itself, so it would sit in a tie group of its own
     if not np.all(np.isfinite(scores)):
         raise MetricError("scores must be finite to compute metrics")
     labels = np.asarray(labels)
@@ -164,20 +165,12 @@ def compute_metrics(scores, labels) -> MetricReport:
     sensitivity = tp / n_pos
     specificity = tn / n_neg
     order = np.argsort(-scores, kind="mergesort")
+    starts, ends = _tie_groups(scores[order])
+    tp_c = np.cumsum(positive[order])[ends]
+    fp_c = ends + 1 - tp_c
     roc: list[tuple[float, float, float]] = [(float(scores.max()) + 1.0, 0.0, 0.0)]
-    tp_c = fp_c = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        value = scores[order[i]]
-        while j < scores.size and scores[order[j]] == value:
-            if labels[order[j]] == 1:
-                tp_c += 1
-            else:
-                fp_c += 1
-            j += 1
-        roc.append((float(value), fp_c / n_neg, tp_c / n_pos))
-        i = j
+    roc += [(value, false_pos / n_neg, true_pos / n_pos) for value, false_pos, true_pos
+            in zip(scores[order[starts]].tolist(), fp_c.tolist(), tp_c.tolist())]
     return MetricReport(auc=float(auc), sensitivity=sensitivity,
                         specificity=specificity, roc=roc)
 
@@ -657,14 +650,8 @@ def flat_correlation_features(samples: list[GraphSample], binarize: bool) -> np.
     5-percent-strongest-edge indicator instead."""
     n = samples[0].features.shape[0]
     iu = np.triu_indices(n, k=1)
-    rows = []
-    for sample in samples:
-        if binarize:
-            adj = threshold_edges(window_correlation(sample.window), 5.0)
-            rows.append(adj.dense[iu])
-        else:
-            rows.append(window_correlation(sample.window)[iu])
-    return np.asarray(rows, dtype=np.float32)
+    return np.asarray([(window_adjacency(s, 5.0) if binarize else window_correlation(s))[iu]
+                       for s in samples], dtype=np.float32)
 
 
 def baseline_flat_correlation(samples: list[GraphSample], plan: FoldPlan,

@@ -32,47 +32,14 @@ class SubjectRecord:
 
 
 @dataclass
-class SampleWindow:
-    """One training sample: a nodes x timesteps feature matrix plus identity."""
+class GraphSample:
+    """One window of one subject: nodes x timesteps float32 features and a dense
+    float32 N x N adjacency, which is None for models that never read a graph."""
 
     subject_id: str
-    scan_index: int
-    window_index: int
     label: int
     features: np.ndarray
-
-
-@dataclass
-class AdjacencyMatrix:
-    """Symmetric binary adjacency with an equivalent undirected edge list."""
-
-    n_nodes: int
-    dense: np.ndarray
-    edges: np.ndarray  # shape (2, E), each undirected edge listed once as i < j
-
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[1]
-
-
-@dataclass
-class GraphSample:
-    """A window plus its adjacency; None for models that never read a graph."""
-
-    window: SampleWindow
-    adjacency: AdjacencyMatrix | None
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.window.features
-
-    @property
-    def label(self) -> int:
-        return self.window.label
-
-    @property
-    def subject_id(self) -> str:
-        return self.window.subject_id
+    adjacency: np.ndarray | None = None
 
 
 # scaling and windowing -------------------------------------------------------
@@ -93,8 +60,9 @@ def robust_scale(series: np.ndarray) -> np.ndarray:
     return np.where(degenerate, 0.0, (series - median) / np.where(degenerate, 1.0, iqr))
 
 
-def window_split(record: SubjectRecord, windows_per_scan: int) -> list[SampleWindow]:
-    """Cut every session into contiguous non-overlapping windows.
+def window_split(record: SubjectRecord, windows_per_scan: int) -> list[GraphSample]:
+    """Cut every session into contiguous non-overlapping windows, in session
+    then window order, with no adjacency yet.
 
     Each window is transposed to nodes x timesteps and robust-scaled per
     node, so samples are self-contained. A session's windows are scaled
@@ -102,17 +70,19 @@ def window_split(record: SubjectRecord, windows_per_scan: int) -> list[SampleWin
     """
     if windows_per_scan < 1:
         raise ConfigError("windows_per_scan must be >= 1")
-    out: list[SampleWindow] = []
-    for scan_index, session in enumerate(record.sessions):
+    out: list[GraphSample] = []
+    for session_index, session in enumerate(record.sessions):
         length, n_nodes = session.shape
         if length % windows_per_scan != 0:
             raise ConfigError(
                 f"session length {length} is not divisible by windows_per_scan={windows_per_scan}")
         blocks = session.reshape(windows_per_scan, length // windows_per_scan, n_nodes)
-        scaled = robust_scale(blocks.transpose(0, 2, 1)).astype(np.float32, order="C")
-        out.extend(SampleWindow(subject_id=record.subject_id, scan_index=scan_index,
-                                window_index=w, label=record.label, features=scaled[w])
-                   for w in range(windows_per_scan))
+        with np.errstate(over="ignore"):  # a tiny IQR can push a finite cell past float32
+            scaled = robust_scale(blocks.transpose(0, 2, 1)).astype(np.float32, order="C")
+        if not np.all(np.isfinite(scaled)):
+            raise DataError(f"subject {record.subject_id}, session {session_index + 1} "
+                            f"(counting from 1): a robust-scaled value overflows float32")
+        out.extend(GraphSample(record.subject_id, record.label, window) for window in scaled)
     return out
 
 
@@ -156,11 +126,12 @@ def covariance_to_correlation(cov: np.ndarray) -> np.ndarray:
     return corr
 
 
-def threshold_edges(corr: np.ndarray, percent: float) -> AdjacencyMatrix:
+def threshold_edges(corr: np.ndarray, percent: float) -> np.ndarray:
     """Keep the strongest percent of off-diagonal pairs by |r|, binarized.
 
     Keeps floor(percent/100 * N(N-1)/2) pairs; ties break on ascending
-    (i, j). Output is symmetric with a zero diagonal.
+    (i, j). Output is a dense float32 N x N matrix, symmetric with a zero
+    diagonal.
     """
     if not 0.0 < percent <= 100.0:
         raise ConfigError(f"threshold percent must lie in (0, 100]; got {percent}")
@@ -174,17 +145,16 @@ def threshold_edges(corr: np.ndarray, percent: float) -> AdjacencyMatrix:
     dense = np.zeros((n, n), dtype=np.float32)
     dense[ii[chosen], jj[chosen]] = 1.0
     dense[jj[chosen], ii[chosen]] = 1.0
-    edges = np.vstack([ii[chosen], jj[chosen]]).astype(np.int64)
-    return AdjacencyMatrix(n_nodes=n, dense=dense, edges=edges)
+    return dense
 
 
-def window_correlation(window: SampleWindow) -> np.ndarray:
-    return covariance_to_correlation(ledoit_wolf_covariance(window.features.T))
+def window_correlation(sample: GraphSample) -> np.ndarray:
+    return covariance_to_correlation(ledoit_wolf_covariance(sample.features.T))
 
 
-def window_adjacency(window: SampleWindow, percent: float) -> AdjacencyMatrix:
+def window_adjacency(sample: GraphSample, percent: float) -> np.ndarray:
     """Adjacency of one sample from its own (scaled) window."""
-    return threshold_edges(window_correlation(window), percent)
+    return threshold_edges(window_correlation(sample), percent)
 
 
 # class balancing --------------------------------------------------------------
@@ -211,12 +181,10 @@ def build_samples(records: list[SubjectRecord], windows_per_scan: int,
                   threshold_percent: float | None) -> list[GraphSample]:
     """Window and scale every record; give each window its own adjacency
     unless ``threshold_percent`` is None."""
-    samples: list[GraphSample] = []
-    for record in records:
-        for window in window_split(record, windows_per_scan):
-            adjacency = (None if threshold_percent is None
-                         else window_adjacency(window, threshold_percent))
-            samples.append(GraphSample(window=window, adjacency=adjacency))
+    samples = [sample for record in records for sample in window_split(record, windows_per_scan)]
+    if threshold_percent is not None:
+        for sample in samples:
+            sample.adjacency = window_adjacency(sample, threshold_percent)
     return samples
 
 
@@ -233,10 +201,10 @@ def stack_samples(samples: list[GraphSample]
 
     The adjacency stack is None when the samples carry no adjacency.
     """
-    features = np.stack([s.features for s in samples]).astype(np.float32)
+    features = np.stack([s.features for s in samples], dtype=np.float32)
     adjacency = None
     if samples[0].adjacency is not None:
-        adjacency = np.stack([s.adjacency.dense for s in samples]).astype(np.float32)
+        adjacency = np.stack([s.adjacency for s in samples], dtype=np.float32)
     labels = np.array([s.label for s in samples], dtype=np.float32)
     subjects = [s.subject_id for s in samples]
     return features, adjacency, labels, subjects

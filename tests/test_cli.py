@@ -155,6 +155,34 @@ def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
     assert "s1.csv: 12 timesteps, but s0.csv has 16" in err["message"]
 
 
+@pytest.mark.parametrize("model", ["mean_CNN_GCN5", "logreg"])
+def test_run_rejects_window_that_overflows_float32_before_training(tmp_path, capsys, model):
+    # every cell is finite, but the IQR of node 0 in s1 is one float32 ulp of 1.0,
+    # so its 3e38 cell scales past float32
+    rng = np.random.default_rng(0)
+    subjects = []
+    for index in range(4):
+        matrix = rng.normal(size=(16, 3)).astype(np.float32)
+        if index == 1:
+            matrix[:, 0] = np.tile([1.0, np.nextafter(np.float32(1.0), np.float32(2.0))], 8)
+            matrix[5, 0] = 3e38
+        write_matrix_csv(tmp_path / f"s{index}.csv", matrix)
+        subjects.append({"id": f"s{index}", "label": index % 2, "sessions": [f"s{index}.csv"]})
+    write_manifest(tmp_path / "manifest.json", n_nodes=3, subjects=subjects)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--data", tmp_path / "manifest.json", "--model", model,
+                       "--grid-fast", "--folds", 2, "--out", tmp_path / "out")
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1 and "Warning" not in captured
+    err = json.loads(captured)
+    assert err["error"] == "DataError"
+    assert "subject s1, session 1" in err["message"] and "overflows float32" in err["message"]
+    assert not caught
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--jobs", 2), ("--jobs", 0), ("--precision", "f64")])
 @pytest.mark.parametrize("command", ["synth", "roc-plot"])
 def test_only_run_takes_jobs_and_precision(tmp_path, capsys, command, flag, value):

@@ -18,20 +18,14 @@ from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
                               select_grid_winner, train_classifier, GridRecord,
                               TrainOutcome, TrainSettings)
 from stgnn.models import ModelSpec, bce_loss, build_model
-from stgnn.prep import AdjacencyMatrix, GraphSample, SampleWindow, prepare_graph_samples
+from stgnn.prep import GraphSample, prepare_graph_samples
 from stgnn.synth import SynthConfig, generate, generate_dataset
 
 
 def fake_samples(labels_by_subject: dict[str, int], per_subject: int = 2):
-    samples = []
-    adjacency = AdjacencyMatrix(n_nodes=2, dense=np.zeros((2, 2), dtype=np.float32),
-                                edges=np.zeros((2, 0), dtype=np.int64))
-    for sid, label in labels_by_subject.items():
-        for w in range(per_subject):
-            window = SampleWindow(subject_id=sid, scan_index=0, window_index=w,
-                                  label=label, features=np.zeros((2, 4), dtype=np.float32))
-            samples.append(GraphSample(window=window, adjacency=adjacency))
-    return samples
+    return [GraphSample(subject_id=sid, label=label, features=np.zeros((2, 4), dtype=np.float32),
+                        adjacency=np.zeros((2, 2), dtype=np.float32))
+            for sid, label in labels_by_subject.items() for _ in range(per_subject)]
 
 
 # fold planning -----------------------------------------------------------------
@@ -199,6 +193,25 @@ def test_auc_matches_pairwise_brute_force_under_heavy_ties(case):
     scores, labels = case
     assert compute_metrics(scores, labels).auc == pytest.approx(pairwise_auc(scores, labels),
                                                                abs=1e-12)
+
+
+def threshold_roc(scores, labels):
+    """One point per distinct score, counting every sample scored at or above it."""
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    roc = [(float(scores.max()) + 1.0, 0.0, 0.0)]
+    for value in sorted(set(scores.tolist()), reverse=True):
+        above = scores >= value
+        roc.append((value, int(np.sum(above & (labels != 1))) / n_neg,
+                    int(np.sum(above & (labels == 1))) / n_pos))
+    return roc
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_labels())
+def test_roc_matches_per_threshold_counts_under_heavy_ties(case):
+    scores, labels = case
+    assert compute_metrics(scores, labels).roc == threshold_roc(scores, labels)
 
 
 @settings(max_examples=100, deadline=None)
@@ -443,8 +456,7 @@ def synth_samples(n_subjects=12, nodes=15, length=128, effect=1.0, seed=0,
 def test_flat_features_triangle_length():
     samples = fake_samples({"a": 0, "b": 1}, per_subject=1)
     for s in samples:
-        s.window.features = np.random.default_rng(0).normal(size=(3, 16)).astype(np.float32)
-        s.adjacency.n_nodes = 3
+        s.features = np.random.default_rng(0).normal(size=(3, 16)).astype(np.float32)
     table = flat_correlation_features(samples, binarize=False)
     assert table.shape == (2, 3)
 
@@ -635,9 +647,9 @@ def test_threshold_in_model_name_builds_and_reports_the_graphs(tiny_manifest, mo
     received = set()
     window_adjacency = prep.window_adjacency
 
-    def recording_window_adjacency(window, threshold_percent):
+    def recording_window_adjacency(sample, threshold_percent):
         received.add(threshold_percent)
-        return window_adjacency(window, threshold_percent)
+        return window_adjacency(sample, threshold_percent)
 
     monkeypatch.setattr(prep, "window_adjacency", recording_window_adjacency)
     doc = run_experiment(tiny_config(tiny_manifest, model=model, threshold_percent=flag,
