@@ -3,8 +3,9 @@
 Results are computed eagerly while a tape of backward closures is recorded
 on the output tensors; ``Tensor.backward()`` replays the tape in reverse
 topological order and consumes it as it goes. ``conv_bn_relu`` is a CNN
-encoder block as one op whose node keeps only what its backward reads. A
-forward that nothing will differentiate runs under ``no_tape()``. Training runs
+encoder block as one op whose node keeps only its output and two floats per
+channel: its backward recomputes the conv from the block input. A forward
+that nothing will differentiate runs under ``no_tape()``. Training runs
 in float32; switch to float64 (see ``default_dtype``) when comparing
 analytic gradients against central finite differences.
 """
@@ -614,55 +615,87 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
     return _make(out.transpose(2, 0, 1), parents, backward_fn)
 
 
-def _normalize_rows(rows: np.ndarray, gamma: Tensor, beta: Tensor, running_mean, running_var,
-                    train: bool, eps: float, momentum: float, in_place: bool):
-    """Batchnorm over (C, values) rows: ``xhat``, γ·xhat+β and 1/std. ``xhat``
-    overwrites ``rows`` when ``in_place``; train mode updates the running buffers."""
+_ROWS = 1 << 18  # elements per group of whole channel rows: 1 MB of f32, normalized in cache
+
+
+def _row_groups(*arrays: np.ndarray) -> list[slice]:
+    """Groups of whole channel rows of about ``_ROWS`` elements each, over (C, values)
+    arrays. A reduction over a contiguous row is the same pairwise sum in any group, so
+    the bytes do not depend on the grouping; strided rows (a transposed 2-D input) sum
+    in memory order, which a narrower group could change, so they run as one group."""
+    channels, count = arrays[0].shape
+    step = channels
+    if all(a.flags.c_contiguous for a in arrays):
+        step = max(1, _ROWS // count)
+    return [slice(c0, c0 + step) for c0 in range(0, channels, step)]
+
+
+def _normalize_rows(rows: np.ndarray, out: np.ndarray, gamma: Tensor, beta: Tensor,
+                    running_mean, running_var, train: bool, eps: float, momentum: float,
+                    relu: bool):
+    """Batchnorm of (C, values) rows into ``out``, which may be ``rows`` itself: each
+    group of rows is centred into ``out``, squared into a group-sized temporary for its
+    variance, scaled to ``xhat`` and overwritten with γ·xhat+β (and its ReLU). Returns
+    the mean and 1/std it used, which the backward rebuilds ``xhat`` from; train mode
+    updates the running buffers."""
     channels, count = rows.shape
     if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
         raise ShapeError(f"gamma/beta must have shape ({channels},)")
     if train and count < 2:
         raise ContractError("batch statistics need at least two values per channel")
-    mu = rows.mean(axis=1) if train else running_mean
-    xhat = np.subtract(rows, mu[:, None], out=rows if in_place else None)
     if train:
-        out = np.square(xhat)  # holds the squares, then the output
-        var = out.mean(axis=1)
+        mu, var = np.empty(channels, rows.dtype), np.empty(channels, rows.dtype)
+    else:
+        mu, var = running_mean.copy(), running_var
+    inv = np.empty_like(var)
+    for sl in _row_groups(rows, out):
+        if train:
+            mu[sl] = rows[sl].mean(axis=1)
+        r = np.subtract(rows[sl], mu[sl, None], out=out[sl])
+        if train:
+            var[sl] = np.square(r).mean(axis=1)
+        inv[sl] = 1.0 / np.sqrt(var[sl] + eps)
+        r *= inv[sl, None]
+        r *= gamma.data[sl, None]
+        r += beta.data[sl, None]
+        if relu:
+            np.maximum(r, 0, out=r)
+    if train:
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var * (count / (count - 1))
-    else:
-        var = running_var
-        out = np.empty_like(xhat)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv[:, None]
-    np.multiply(xhat, gamma.data[:, None], out=out)
-    out += beta.data[:, None]
-    return xhat, out, inv
+    return mu, inv
 
 
-def _normalize_rows_backward(g_rows: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                             gamma: Tensor, beta: Tensor, train: bool) -> np.ndarray:
-    """Accumulate the γ and β gradients and return the input gradient, built
-    in the ``xhat`` buffer, which nothing reads afterwards."""
-    count = xhat.shape[1]
-    # the two reductions every gradient is built from
-    sum_g = g_rows.sum(axis=1)
-    sum_gx = np.multiply(g_rows, xhat).sum(axis=1)
+def _normalize_rows_backward(rows: np.ndarray, g_rows: np.ndarray, y_rows: np.ndarray | None,
+                             mu: np.ndarray, inv: np.ndarray, gamma: Tensor, beta: Tensor,
+                             train: bool) -> None:
+    """From the rows the forward normalized, rebuild each group's ``xhat`` with the
+    saved ``mu`` and ``inv``; mask ``g_rows`` by ``y_rows > 0`` for a ReLU output;
+    accumulate the γ and β gradients; and overwrite ``g_rows`` with the input gradient.
+    ``xhat`` and the product for Σg·xhat are group-sized temporaries."""
+    channels, count = g_rows.shape
+    sum_g, sum_gx = np.empty(channels, g_rows.dtype), np.empty(channels, g_rows.dtype)
+    scale = gamma.data * inv
+    arrays = (rows, g_rows) if y_rows is None else (rows, g_rows, y_rows)
+    for sl in _row_groups(*arrays):
+        xhat, g = np.subtract(rows[sl], mu[sl, None], out=np.empty_like(rows[sl])), g_rows[sl]
+        xhat *= inv[sl, None]  # as the forward rounded it, in the dtype of ``rows``
+        if y_rows is not None:
+            g *= y_rows[sl] > 0
+        # the two reductions every gradient is built from
+        sum_g[sl] = g.sum(axis=1)
+        sum_gx[sl] = np.multiply(g, xhat).sum(axis=1)
+        if train:
+            xhat *= (-sum_gx[sl] / count)[:, None]
+            g += xhat
+            g -= (sum_g[sl] / count)[:, None]
+        g *= scale[sl, None]
     if gamma.requires_grad:
         _accumulate(gamma, sum_gx, fresh=True)
     if beta.requires_grad:
         _accumulate(beta, sum_g, fresh=True)
-    scale = (gamma.data * inv)[:, None]
-    if train:
-        xhat *= (-sum_gx / count)[:, None]
-        xhat += g_rows
-        xhat -= (sum_g / count)[:, None]
-        xhat *= scale
-    else:
-        np.multiply(g_rows, scale, out=xhat)
-    return xhat
 
 
 BN_EPS = 1e-5
@@ -677,22 +710,29 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     Train mode uses batch statistics and updates the running buffers in
     place; eval mode normalizes with the running statistics. The work runs
     on (C, values) rows in (C, [L,] B) order, which are contiguous when the
-    input is the time-major output of ``conv1d``.
+    input is the time-major output of ``conv1d``. The node keeps only its
+    output and the per-channel mean and 1/std: the backward rebuilds ``xhat``
+    from the input, which is a tape parent.
     """
     x = as_tensor(x)
     gamma = as_tensor(gamma, like=x)
     beta = as_tensor(beta, like=x)
     if x.data.ndim not in (2, 3):
         raise ShapeError("batchnorm1d expects (B, C) or (B, C, L) input")
-    # (C, [L,] B) -> (C, count): a view for time-major input and for 2D input
     layout = np.moveaxis(x.data, 0, -1).shape
-    xhat, out, inv = _normalize_rows(np.moveaxis(x.data, 0, -1).reshape(layout[0], -1), gamma,
-                                     beta, running_mean, running_var, train, eps, momentum, False)
+
+    def as_rows(a):  # (C, [L,] B) -> (C, count): a view for time-major input and for 2D input
+        return np.moveaxis(a, 0, -1).reshape(layout[0], -1)
+
+    rows = as_rows(x.data)
+    out = np.empty_like(rows)  # in the memory order of ``rows``
+    mu, inv = _normalize_rows(rows, out, gamma, beta, running_mean, running_var, train, eps,
+                              momentum, False)
 
     def backward_fn(g):
-        gx = _normalize_rows_backward(np.moveaxis(g, 0, -1).reshape(layout[0], -1), xhat, inv,
-                                      gamma, beta, train)
-        _accumulate(x, np.moveaxis(gx.reshape(layout), -1, 0), fresh=True)
+        g_rows = as_rows(g)  # ``g`` is this node's own
+        _normalize_rows_backward(as_rows(x.data), g_rows, None, mu, inv, gamma, beta, train)
+        _accumulate(x, np.moveaxis(g_rows.reshape(layout), -1, 0), fresh=True)
 
     return _make(np.moveaxis(out.reshape(layout), -1, 0), (x, gamma, beta), backward_fn)
 
@@ -700,30 +740,37 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
 def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
                  running_var: np.ndarray, train: bool, stride: int = 1, padding=0) -> Tensor:
     """``relu(batchnorm1d(conv1d(x, weight, bias, stride, padding), ...))`` as one
-    tape op, bit-for-bit: the same arithmetic in the same order, but the conv
-    result is normalized in place into ``xhat`` and the ReLU runs in place, so
-    the op allocates and keeps two activation-sized arrays, and backward takes
-    the ReLU mask from the output (in-place activated batchnorm, Rota Bulò et
-    al. 2018, arXiv:1712.02616). Its conv is ``conv1d``'s. In train mode the
-    batchnorm removes the conv bias, so its gradient is exactly 0, not the
-    roundoff of a sum that cancels, which Adam would scale to full-size steps."""
+    tape op, bit-for-bit: the same arithmetic in the same order, run in place over
+    groups of channel rows, so the conv result is overwritten by the block output and
+    the op allocates one activation-sized array. The node keeps only that output and
+    the per-channel mean and 1/std (copies of the running statistics in eval mode).
+    Its backward recomputes the conv from the block input, a tape parent, rebuilds
+    ``xhat`` from it, takes the ReLU mask from the output and writes the input
+    gradient of the batchnorm into ``g``'s own buffer; the recomputed conv is freed
+    before the conv's backward runs (recompute rather than store: Chen et al. 2016,
+    arXiv:1604.06174). Its conv is ``conv1d``'s. In train mode the batchnorm removes
+    the conv bias, so its gradient is exactly 0, not the roundoff of a sum that
+    cancels, which Adam would scale to full-size steps."""
     conv, conv_parents, taps = _conv_forward(x, weight, bias, stride, padding, 1, False)
     gamma = as_tensor(gamma, like=conv_parents[0])
     beta = as_tensor(beta, like=conv_parents[0])
-    xhat, out, inv = _normalize_rows(conv.reshape(conv.shape[0], -1), gamma, beta,
-                                     running_mean, running_var, train, BN_EPS, BN_MOMENTUM, True)
-    y = np.maximum(out, 0, out=out).reshape(conv.shape).transpose(2, 0, 1)
+    y_rows = conv.reshape(conv.shape[0], -1)
+    mu, inv = _normalize_rows(y_rows, y_rows, gamma, beta, running_mean, running_var, train,
+                              BN_EPS, BN_MOMENTUM, True)
 
     def backward_fn(g):
-        g *= y > 0  # ``g`` is this node's own (see ``Tensor.backward``)
-        gx = _normalize_rows_backward(g.transpose(1, 2, 0).reshape(xhat.shape), xhat, inv,
-                                      gamma, beta, train)
-        _conv_backward(gx.reshape(conv.shape), conv_parents[:2] if train else conv_parents,
+        # ``g`` is this node's own (see ``Tensor.backward``); a time-major one is not copied
+        g_rows = np.ascontiguousarray(g.transpose(1, 2, 0)).reshape(y_rows.shape)
+        # the recomputed conv is bound to no name here, so it dies before the conv's backward
+        _normalize_rows_backward(
+            _conv_forward(*conv_parents[:2], bias, stride, padding, 1, False)[0]
+            .reshape(y_rows.shape), g_rows, y_rows, mu, inv, gamma, beta, train)
+        _conv_backward(g_rows.reshape(conv.shape), conv_parents[:2] if train else conv_parents,
                        taps, stride)
         if train and len(conv_parents) == 3:
             _accumulate(conv_parents[2], np.zeros_like(conv_parents[2].data), fresh=True)
 
-    return _make(y, conv_parents + (gamma, beta), backward_fn)
+    return _make(conv.transpose(2, 0, 1), conv_parents + (gamma, beta), backward_fn)
 
 
 def weight_norm(direction, gain) -> Tensor:

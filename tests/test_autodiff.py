@@ -202,6 +202,15 @@ def in_both_chunkings(monkeypatch, check):
         check()
 
 
+def in_small_row_groups(monkeypatch, check):
+    """Run ``check`` with the real row-group size, then with one channel row per
+    group, so batchnorm over more than one channel splits into several groups."""
+    check()
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_ROWS", 1)
+        check()
+
+
 # taps that read only padding: every tap (int padding) and the first two (causal)
 @example(case={"shape": (2, 2, 1), "c_out": 2, "kernel": 2, "pads": (3, 3), "seed": 0,
                "kwargs": {"stride": 1, "dilation": 4, "padding": 3, "causal": False}})
@@ -421,8 +430,8 @@ def _block_with_grads(case, fused):
 
 
 @PROPERTY
-@given(conv_bn_relu_cases())
-def test_conv_bn_relu_is_bit_equal_to_relu_batchnorm_conv(case):
+@given(case=conv_bn_relu_cases())
+def test_conv_bn_relu_is_bit_equal_to_relu_batchnorm_conv(case, monkeypatch):
     l_out = conv_output_length(case["length"], case["kernel"], case["stride"],
                                2 * case["padding"], 1)
     if case["train"] and case["batch"] * l_out < 2:
@@ -430,13 +439,17 @@ def test_conv_bn_relu_is_bit_equal_to_relu_batchnorm_conv(case):
             with pytest.raises(ContractError, match="two values per channel"):
                 _block_with_grads(case, fused)
         return
-    got = _block_with_grads(case, fused=True)
     want = _block_with_grads(case, fused=False)
-    assert (got[3] is None) == (want[3] is None) == (not case["x_grad"])
-    for value, expected in zip(got, want):
-        if expected is not None:
-            assert (value.dtype, value.shape) == (expected.dtype, expected.shape)
-            assert value.tobytes() == expected.tobytes()
+
+    def check():
+        got = _block_with_grads(case, fused=True)
+        assert (got[3] is None) == (want[3] is None) == (not case["x_grad"])
+        for value, expected in zip(got, want):
+            if expected is not None:
+                assert (value.dtype, value.shape) == (expected.dtype, expected.shape)
+                assert value.tobytes() == expected.tobytes()
+
+    in_small_row_groups(monkeypatch, check)
 
 
 def reference_conv_bn_relu(case):
@@ -485,7 +498,7 @@ def test_conv_bn_relu_matches_nested_loop_conv_then_batchnorm_and_relu(case, mon
             else:
                 np.testing.assert_allclose(value, want, rtol=1e-10, atol=1e-10)
 
-    in_both_chunkings(monkeypatch, check)
+    in_both_chunkings(monkeypatch, lambda: in_small_row_groups(monkeypatch, check))
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -537,6 +550,62 @@ def test_no_conv_scratch_outlives_a_training_step_or_a_scoring_pass(monkeypatch)
     assert no_scratch_left()
     # chunk-sized: at most one output step of the last block when scoring 32 samples
     assert max(sizes) <= 32 * 7 * (32 * 6)
+
+
+def test_eval_block_backward_uses_the_statistics_saved_by_its_forward():
+    """An eval-mode node rebuilds ``xhat`` in its backward. A train-mode forward
+    between its forward and its backward moves the running buffers, which must
+    not reach its gradients."""
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(3, 2, 15)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2, 5)), requires_grad=True)
+    b, gamma, beta = (Tensor(rng.normal(size=4), requires_grad=True) for _ in range(3))
+    probe = Tensor(rng.normal(size=(3, 4, 8)))
+    other = rng.normal(3.0, 2.0, size=(3, 2, 15))
+
+    def eval_gradients(train_forward_between):
+        rm, rv = np.zeros(4), np.ones(4)
+        loss = ad.tsum(ad.mul(ad.conv_bn_relu(x, w, b, gamma, beta, rm, rv, False, stride=2,
+                                              padding=2), probe))
+        if train_forward_between:
+            ad.conv_bn_relu(other, w, b, gamma, beta, rm, rv, True, stride=2, padding=2)
+            assert rm.any() and (rv != 1).all()
+        for t in (x, w, b, gamma, beta):
+            t.grad = None
+        loss.backward()
+        return [t.grad.tobytes() for t in (x, w, b, gamma, beta)]
+
+    assert eval_gradients(True) == eval_gradients(False)
+
+
+def test_backward_frees_each_recomputed_conv_before_its_conv_gradient(monkeypatch):
+    """Each block's backward recomputes its conv output, and drops it before the
+    conv's backward allocates the input gradient; no recomputed array outlives
+    ``Tensor.backward``."""
+    forward, backward = ad._conv_forward, ad._conv_backward
+    recomputed, all_freed_at_conv_backward = [], []
+    in_backward = False
+
+    def recording_forward(*args):
+        result = forward(*args)
+        if in_backward:
+            recomputed.append(weakref.ref(result[0].base))
+        return result
+
+    def checking_backward(*args):
+        all_freed_at_conv_backward.append(all(ref() is None for ref in recomputed))
+        return backward(*args)
+
+    monkeypatch.setattr(ad, "_conv_forward", recording_forward)
+    monkeypatch.setattr(ad, "_conv_backward", checking_backward)
+    model = build_model(ModelSpec.from_name("mean_CNN", seed=1), 6, 64)
+    features = np.random.default_rng(0).normal(size=(4, 6, 64))
+    loss = bce_loss(model(features, None, train=True)[0], np.arange(4) % 2)
+    in_backward = True
+    loss.backward()
+    assert len(recomputed) == len(all_freed_at_conv_backward) == 4
+    assert all(all_freed_at_conv_backward)
+    assert all(ref() is None for ref in recomputed)
 
 
 @pytest.mark.parametrize("train", [True, False])

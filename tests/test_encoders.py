@@ -178,6 +178,10 @@ def training_step_state(name, dtype, steps=2):
 @pytest.mark.parametrize("name", ["mean_CNN", "mean_CNN_GCN5"])
 def test_fused_blocks_train_bit_for_bit_like_the_three_ops(name, dtype, monkeypatch):
     fused = training_step_state(name, dtype)
+    with monkeypatch.context() as patch:
+        # 960, 480, 240 and 120 values per channel: 1, 3, 6 and 12 rows a group
+        patch.setattr(ad, "_ROWS", 1500)
+        assert training_step_state(name, dtype) == fused
     monkeypatch.setattr(CnnEncoder, "block_activations", composed_block_activations)
     assert training_step_state(name, dtype) == fused
 
@@ -207,9 +211,10 @@ def traced_step_bytes(model, features, labels):
     return held, peak
 
 
-def test_fused_blocks_hold_at_most_six_tenths_of_the_three_ops_tape(monkeypatch):
-    # each block keeps xhat and its output; the three ops also keep the conv
-    # and batchnorm outputs, so keeping either of those again fails the bound
+def test_fused_blocks_hold_about_a_third_of_the_three_ops_tape(monkeypatch):
+    # each block keeps only its output (0.37 held, 0.72 peak); the three ops keep
+    # the conv, batchnorm and ReLU outputs, so a block that kept its conv output or
+    # xhat again (0.68 held, 0.91 peak) fails both bounds
     features = np.random.default_rng(0).normal(size=(8, 6, 256)).astype(np.float32)
     labels = np.arange(8) % 2
 
@@ -220,5 +225,5 @@ def test_fused_blocks_hold_at_most_six_tenths_of_the_three_ops_tape(monkeypatch)
     fused_held, fused_peak = measure()
     monkeypatch.setattr(CnnEncoder, "block_activations", composed_block_activations)
     composed_held, composed_peak = measure()
-    assert fused_held <= 0.6 * composed_held
-    assert fused_peak <= composed_peak
+    assert fused_held <= 0.4 * composed_held
+    assert fused_peak <= 0.8 * composed_peak
