@@ -53,6 +53,15 @@ class FoldPlan:
     def inner_subjects(self, fold: int, role: str) -> set[str]:
         return {s for s, r in self.inner[fold].items() if r == role}
 
+    def rows(self, subjects: list[str], fold: int) -> dict[str, np.ndarray]:
+        """Ascending indices into a sample stack whose rows belong to ``subjects``,
+        per role of ``fold``: inner "train" and "val", outer "test"."""
+        assert_no_leakage(self, fold)
+        roles = {"train": self.inner_subjects(fold, "train"),
+                 "val": self.inner_subjects(fold, "val"), "test": self.test_subjects(fold)}
+        return {role: np.flatnonzero([s in members for s in subjects])
+                for role, members in roles.items()}
+
 
 def _subject_labels(samples: list[GraphSample]) -> list[tuple[str, int]]:
     seen: dict[str, int] = {}
@@ -287,16 +296,21 @@ def predict_scores(model, features, adjacency, chunk: int = 256) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _take(data, rows: np.ndarray) -> tuple:
+    """The (features, adjacency, labels) stack at ``rows``; no adjacency stays None."""
+    return tuple(None if array is None else array[rows] for array in data)
+
+
 @np.errstate(all="ignore")  # a diverging point fails on its non-finite loss, not a warning
-def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
-                     train_data, val_data, settings: TrainSettings,
-                     seed: int) -> TrainOutcome:
-    """Train one model, tracking validation loss per epoch and keeping the
-    best-epoch state (or the final state when ``select_final_epoch``)."""
-    tr_x, tr_a, tr_y = train_data
-    va_x, va_a, va_y = val_data
+def train_classifier(spec: ModelSpec, data, train_index: np.ndarray, val_index: np.ndarray,
+                     settings: TrainSettings, seed: int) -> TrainOutcome:
+    """Train one model on the ``train_index`` rows of the ``data`` stack
+    (features, adjacency, labels), tracking the ``val_index`` rows' loss per
+    epoch and keeping the best-epoch state (or the final state when
+    ``select_final_epoch``)."""
+    val_data = _take(data, val_index)
     model = build_model(replace(spec, dropout=settings.dropout, seed=seed),
-                        n_nodes, input_length)
+                        *data[0].shape[1:])
     optimizer = Adam(model.parameters(), lr=settings.lr,
                      weight_decay=settings.weight_decay)
     shuffle_rng = derived_rng(seed, 0x5EED)
@@ -308,13 +322,12 @@ def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
     link_curve: list[float] = []
     entropy_curve: list[float] = []
     for epoch in range(settings.epochs):
-        order = shuffle_rng.permutation(len(tr_y))
+        order = shuffle_rng.permutation(len(train_index))
         epoch_loss = 0.0
         epoch_aux = {"link": 0.0, "entropy": 0.0}
         for start in range(0, len(order), settings.batch_size):
-            idx = order[start:start + settings.batch_size]
-            adj = tr_a[idx] if tr_a is not None else None
-            loss, aux = _batch_loss(model, tr_x[idx], adj, tr_y[idx], settings, train=True)
+            idx = train_index[order[start:start + settings.batch_size]]
+            loss, aux = _batch_loss(model, *_take(data, idx), settings, train=True)
             value = loss.item()
             if not np.isfinite(value):
                 return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True,
@@ -326,10 +339,10 @@ def train_classifier(spec: ModelSpec, n_nodes: int, input_length: int,
             epoch_loss += value * len(idx)
             for key in epoch_aux:
                 epoch_aux[key] += aux[key] * len(idx)
-        train_curve.append(epoch_loss / len(tr_y))
-        link_curve.append(epoch_aux["link"] / len(tr_y))
-        entropy_curve.append(epoch_aux["entropy"] / len(tr_y))
-        val_loss = evaluate_loss(model, va_x, va_a, va_y, settings)
+        train_curve.append(epoch_loss / len(train_index))
+        link_curve.append(epoch_aux["link"] / len(train_index))
+        entropy_curve.append(epoch_aux["entropy"] / len(train_index))
+        val_loss = evaluate_loss(model, *val_data, settings)
         val_curve.append(val_loss)
         if not np.isfinite(val_loss):
             return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True,
@@ -424,12 +437,6 @@ def _permute_subject_labels(records: list[SubjectRecord], seed: int) -> None:
         record.label = label
 
 
-def _fold_arrays(features, adjacency, labels, subjects, member_set):
-    mask = np.array([s in member_set for s in subjects])
-    adj = adjacency[mask] if adjacency is not None else None
-    return features[mask], adj, labels[mask]
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the full protocol and return the results document."""
     start_time = time.perf_counter()
@@ -470,6 +477,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # only graph models read an adjacency; the baseline builds its own correlations
     threshold = spec.threshold_percent if spec is not None and spec.needs_graph else None
     samples = build_samples(records, config.windows_per_scan, threshold)
+    del records  # the windows are copies: nothing reads the raw sessions again
     plan = plan_folds(samples, k=config.k_folds, seed=config.seed)
 
     if is_baseline:
@@ -517,16 +525,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
                     config: ExperimentConfig) -> list[FoldReport]:
     features, adjacency, labels, subjects = stack_samples(samples)
-    n_nodes = features.shape[1]
-    input_length = features.shape[2]
-
-    folds = []
-    for fold in range(plan.k):
-        assert_no_leakage(plan, fold)
-        folds.append(tuple(_fold_arrays(features, adjacency, labels, subjects,
-                                        plan.inner_subjects(fold, role))
-                           for role in ("train", "val")))
-    outcomes = _train_grid(folds, spec, n_nodes, input_length, config)
+    data = (features, adjacency, labels)
+    rows = [plan.rows(subjects, fold) for fold in range(plan.k)]
+    outcomes = _train_grid(data, rows, spec, config)
 
     points = config.grid.points()
     reports = []
@@ -536,11 +537,10 @@ def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
         winner = select_grid_winner(records)
         model = build_model(replace(spec, dropout=winner.point.dropout,
                                     seed=derived_seed(config.seed, fold, winner.index)),
-                            n_nodes, input_length)
+                            *features.shape[1:])
         model.load_state_dict(winner.outcome.state)
-        test_data = _fold_arrays(features, adjacency, labels, subjects, plan.test_subjects(fold))
-        scores = predict_scores(model, test_data[0], test_data[1])
-        metrics = compute_metrics(scores, test_data[2])
+        test_x, test_a, test_y = _take(data, rows[fold]["test"])
+        metrics = compute_metrics(predict_scores(model, test_x, test_a), test_y)
         reports.append(FoldReport(
             fold=fold,
             hyperparameters=winner.point.to_dict(),
@@ -560,13 +560,13 @@ def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
 _grid_context: dict = {}
 
 
-def _install_grid_context(folds, spec: ModelSpec, n_nodes: int, input_length: int,
-                          config: ExperimentConfig, dtype_name: str) -> None:
-    """Hand a process everything its trainings read, once; pool workers run
-    this as their initializer, so tasks carry only (fold, index)."""
+def _install_grid_context(data, rows, spec: ModelSpec, config: ExperimentConfig,
+                          dtype_name: str) -> None:
+    """Hand a process everything its trainings read, once: the one sample
+    stack and each fold's row indices. Pool workers run this as their
+    initializer, so tasks carry only (fold, index)."""
     ad.set_default_dtype(dtype_name)
-    _grid_context.update(folds=folds, spec=spec, n_nodes=n_nodes,
-                         input_length=input_length, config=config)
+    _grid_context.update(data=data, rows=rows, spec=spec, config=config)
 
 
 def _train_key(key: tuple[int, int]) -> TrainOutcome:
@@ -580,9 +580,9 @@ def _train_key(key: tuple[int, int]) -> TrainOutcome:
                              link_weight=config.link_weight,
                              entropy_weight=config.entropy_weight,
                              select_final_epoch=config.select_final_epoch)
-    train_data, val_data = ctx["folds"][fold]
-    return train_classifier(spec, ctx["n_nodes"], ctx["input_length"], train_data, val_data,
-                            settings, seed=derived_seed(config.seed, fold, index))
+    rows = ctx["rows"][fold]
+    return train_classifier(spec, ctx["data"], rows["train"], rows["val"], settings,
+                            seed=derived_seed(config.seed, fold, index))
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -611,7 +611,7 @@ def _spawn_pool(workers: int, initializer=None, initargs=()):
             os.environ.pop(name, None)
 
 
-def _train_grid(folds, spec: ModelSpec, n_nodes: int, input_length: int,
+def _train_grid(data, rows, spec: ModelSpec,
                 config: ExperimentConfig) -> dict[tuple[int, int], TrainOutcome]:
     """Train every grid point of every fold, serially or on at most
     ``config.jobs`` worker processes; both run ``_train_key`` over the same keys.
@@ -619,11 +619,11 @@ def _train_grid(folds, spec: ModelSpec, n_nodes: int, input_length: int,
     Workers are spawned, not forked, so they inherit no state of this process:
     the initializer's arguments are all they know.
     """
-    keys = [(fold, index) for fold in range(len(folds))
+    keys = [(fold, index) for fold in range(len(rows))
             for index in range(len(config.grid.points()))]
     dtype_name = next(name for name, dtype in ad._DTYPES.items()
                       if dtype is ad.get_default_dtype())
-    context = (folds, spec, n_nodes, input_length, config, dtype_name)
+    context = (data, rows, spec, config, dtype_name)
     workers = min(config.jobs, len(keys))
     try:
         if workers > 1:
@@ -666,16 +666,15 @@ def baseline_flat_correlation(samples: list[GraphSample], plan: FoldPlan,
              "weight_decay": BASELINE_WEIGHT_DECAY, "epochs": BASELINE_EPOCHS,
              "binarize": binarize}
     for fold in range(plan.k):
-        assert_no_leakage(plan, fold)
-        train_subjects = plan.inner_subjects(fold, "train") | plan.inner_subjects(fold, "val")
-        train_mask = np.array([s in train_subjects for s in subjects])
-        test_mask = np.array([s in plan.test_subjects(fold) for s in subjects])
+        rows = plan.rows(subjects, fold)
+        train = np.union1d(rows["train"], rows["val"])
+        test = rows["test"]
         rng = derived_rng(seed, 0xBA5E, fold)
         linear = Linear(table.shape[1], 1, rng)
         optimizer = Adam([linear.weight, linear.bias], lr=BASELINE_LR,
                          weight_decay=BASELINE_WEIGHT_DECAY)
-        x_train = table[train_mask]
-        y_train = labels[train_mask]
+        x_train = table[train]
+        y_train = labels[train]
         train_curve = []
         for _ in range(BASELINE_EPOCHS):
             probs = ad.reshape(ad.sigmoid(linear(Tensor(x_train))), (len(y_train),))
@@ -685,9 +684,8 @@ def baseline_flat_correlation(samples: list[GraphSample], plan: FoldPlan,
             loss.backward()
             optimizer.step()
         with ad.no_tape():
-            probs = ad.reshape(ad.sigmoid(linear(Tensor(table[test_mask]))),
-                               (int(test_mask.sum()),))
-        metrics = compute_metrics(probs.numpy(), labels[test_mask])
+            probs = ad.reshape(ad.sigmoid(linear(Tensor(table[test]))), (len(test),))
+        metrics = compute_metrics(probs.numpy(), labels[test])
         reports.append(FoldReport(
             fold=fold, hyperparameters=dict(hyper),
             auc=metrics.auc, sensitivity=metrics.sensitivity,

@@ -228,20 +228,34 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     np.savetxt(path, np.asarray(matrix, dtype=np.float32), delimiter=",", fmt="%.9g")
 
 
+def _read_header(fh, fmt: str, path: Path) -> tuple:
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise DataError(f"truncated matrix file {path}: the header ends early")
+    return struct.unpack(fmt, raw)
+
+
 def read_matrix(path: Path) -> np.ndarray:
     """Read a binary or CSV timeseries matrix; every cell must be finite."""
     path = Path(path)
     with open(path, "rb") as fh:
         binary = fh.read(4) == MAGIC
         if binary:
-            version, = struct.unpack("<H", fh.read(2))
+            version, = _read_header(fh, "<H", path)
             if version != BINARY_VERSION:
                 raise DataError(f"unsupported matrix file version {version} in {path}")
-            rows, cols = struct.unpack("<II", fh.read(8))
+            rows, cols = _read_header(fh, "<II", path)
+            if rows == 0:
+                raise DataError(f"{path} has no rows")
             payload = fh.read(rows * cols * 4)
             if len(payload) != rows * cols * 4:
                 raise DataError(f"truncated matrix file {path}")
             matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
+        else:
+            fh.seek(0)
+            # stops at the first data line; np.loadtxt only warns on a file without one
+            if not any(line.split(b"#", 1)[0].strip() for line in fh):
+                raise DataError(f"{path} has no rows")
     if not binary:
         try:
             matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
@@ -269,23 +283,35 @@ def load_manifest(path: Path) -> list[SubjectRecord]:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} must be a JSON object")
     for key in ("version", "n_nodes", "subjects"):
         if key not in doc:
             raise DataError(f"manifest {path} is missing required field {key!r}")
     if doc["version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {doc['version']}")
-    n_nodes = int(doc["n_nodes"])
+    n_nodes = doc["n_nodes"]
+    if type(n_nodes) is not int or n_nodes < 1:
+        raise DataError(f"manifest {path}: n_nodes must be a positive integer; got {n_nodes!r}")
+    if not isinstance(doc["subjects"], list):
+        raise DataError(f"manifest {path}: subjects must be a list; got {doc['subjects']!r}")
     base = path.parent
     records: list[SubjectRecord] = []
     first: tuple[str, int] | None = None  # (path, timesteps) of the first session
     for entry in doc["subjects"]:
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest {path}: a subject entry must be an object; got {entry!r}")
         for key in ("id", "label", "sessions"):
             if key not in entry:
                 raise DataError(f"subject entry missing field {key!r} in {path}")
         if entry["label"] not in (0, 1):
             raise DataError(f"subject {entry['id']}: label must be 0 or 1")
+        rels = entry["sessions"]
+        if not (isinstance(rels, list) and rels and all(isinstance(rel, str) for rel in rels)):
+            raise DataError(f"subject {entry['id']}: sessions must be a non-empty list of "
+                            f"file paths; got {rels!r}")
         sessions = []
-        for rel in entry["sessions"]:
+        for rel in rels:
             matrix = read_matrix(base / rel)
             if matrix.shape[1] != n_nodes:
                 raise DataError(f"{rel}: expected {n_nodes} columns, found {matrix.shape[1]}")

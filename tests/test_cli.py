@@ -155,6 +155,28 @@ def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
     assert "s1.csv: 12 timesteps, but s0.csv has 16" in err["message"]
 
 
+@pytest.mark.parametrize("document, message", [
+    ('{"version": 1, "n_nodes": "abc", "subjects": []}', "n_nodes must be a positive integer"),
+    ('{"version": 1, "n_nodes": 3, "subjects": 5}', "subjects must be a list"),
+    ('{"version": 1, "n_nodes": 3, "subjects": ["s0"]}', "a subject entry must be an object"),
+    ('{"version": 1, "n_nodes": 3, "subjects": [{"id": "s0", "label": 0, "sessions": [7]}]}',
+     "subject s0: sessions must be a non-empty list of file paths; got [7]"),
+    ('{"version": 1, "n_nodes": 3, "subjects": [{"id": "s0", "label": 0, "sessions": []}]}',
+     "subject s0: sessions must be a non-empty list of file paths; got []"),
+    ("5", "must be a JSON object"),
+])
+def test_run_rejects_malformed_manifest_with_one_error_json_line(tmp_path, capsys, document,
+                                                                 message):
+    (tmp_path / "manifest.json").write_text(document)
+    code = run_cli("run", "--data", tmp_path / "manifest.json", "--out", tmp_path / "out")
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1 and "Traceback" not in captured
+    err = json.loads(captured)
+    assert err["error"] == "DataError"
+    assert message in err["message"]
+
+
 @pytest.mark.parametrize("model", ["mean_CNN_GCN5", "logreg"])
 def test_run_rejects_window_that_overflows_float32_before_training(tmp_path, capsys, model):
     # every cell is finite, but the IQR of node 0 in s1 is one float32 ulp of 1.0,

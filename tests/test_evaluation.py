@@ -1,7 +1,10 @@
 """Fold planning, metrics, grid search, baseline and experiment orchestration."""
 
 import contextlib
+import io
 import os
+import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -276,9 +279,9 @@ def _tiny_training():
     rng = np.random.default_rng(0)
     labels = np.arange(12) % 2
     data = (rng.normal(size=(12, 3, 16)).astype(np.float32), None, labels.astype(np.float32))
-    val = (data[0][:4], None, data[2][:4])
     settings = TrainSettings(lr=1e-3, weight_decay=0.0, dropout=0.0, epochs=3, batch_size=4)
-    return train_classifier(ModelSpec(encoder="cnn"), 3, 16, data, val, settings, seed=1)
+    return train_classifier(ModelSpec(encoder="cnn"), data, np.arange(12), np.arange(4),
+                            settings, seed=1)
 
 
 def test_training_releases_each_step_tape_before_the_next_forward(monkeypatch):
@@ -544,10 +547,8 @@ def test_run_experiment_selects_lowest_validation_loss(tiny_manifest, monkeypatc
     trained = {}
     train_classifier = evaluation.train_classifier
 
-    def recording_train_classifier(spec, n_nodes, input_length, train_data, val_data,
-                                   settings, seed):
-        outcome = train_classifier(spec, n_nodes, input_length, train_data, val_data,
-                                   settings, seed)
+    def recording_train_classifier(spec, data, train_index, val_index, settings, seed):
+        outcome = train_classifier(spec, data, train_index, val_index, settings, seed)
         trained[seed] = (settings.lr, outcome.best_val_loss)
         return outcome
 
@@ -588,6 +589,7 @@ class RecordingPool:
         pools.append(self)
         self.max_workers = max_workers
         self.start_method = mp_context.get_start_method()
+        self.initargs = initargs
         self.tasks: list = []
         ad.set_default_dtype("f32")  # what a fresh interpreter would start with
         initializer(*initargs)
@@ -620,6 +622,66 @@ def test_pool_is_capped_at_the_trainings_and_gets_fold_index_tasks(tiny_manifest
     assert pool.dtype is np.float64
     par["wall_clock_seconds"] = seq["wall_clock_seconds"] = None
     assert par == seq
+
+
+def pickled_arrays(obj) -> list[np.ndarray]:
+    """Every ndarray that pickling ``obj`` writes, which is what a spawned
+    worker unpickles; an array reached twice is written once."""
+    found = {}
+
+    class Recorder(pickle.Pickler):
+        def persistent_id(self, item):
+            if isinstance(item, np.ndarray):
+                found[id(item)] = item
+            return None  # pickle it as usual
+
+    Recorder(io.BytesIO()).dump(obj)
+    return list(found.values())
+
+
+def test_pool_workers_get_one_sample_stack_and_the_fold_rows(tiny_manifest, monkeypatch):
+    pools: list[RecordingPool] = []
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor",
+                        lambda **kwargs: RecordingPool(pools, **kwargs))
+    run_experiment(tiny_config(tiny_manifest, model="mean_CNN_GCN20", grid=TWO_POINT_GRID,
+                               jobs=2))
+    (pool,) = pools
+    arrays = pickled_arrays(pool.initargs)
+    rows = [a for a in arrays if a.dtype.kind == "i"]
+    stack = [a for a in arrays if a.dtype.kind != "i"]
+    n = len(next(a for a in stack if a.ndim == 3))
+    # features (nodes x timesteps), adjacency and labels, once: no per-fold copy
+    assert sorted(a.shape for a in stack) == [(n,), (n, 6, 6), (n, 6, 64)]
+    assert sum(a.nbytes for a in arrays) == \
+        n * (6 * 64 + 6 * 6 + 1) * 4 + sum(a.nbytes for a in rows)
+    # train, val and test rows of two folds: each sample in one role per fold
+    assert len(rows) == 2 * 3
+    assert np.bincount(np.concatenate(rows), minlength=n).tolist() == [2] * n
+
+
+class StopRun(Exception):
+    pass
+
+
+def test_run_holds_the_dataset_at_most_three_times_before_training(tmp_path, monkeypatch):
+    manifest = generate_dataset(SynthConfig(n_subjects=16, n_nodes=20, session_length=400,
+                                            n_sessions=4, seed=2), tmp_path)
+    feature_bytes = 16 * 4 * 20 * 400 * 4  # one float32 window per session
+    heap = []
+
+    def first_training(*args, **kwargs):
+        heap.append(tracemalloc.get_traced_memory()[0])
+        raise StopRun
+
+    monkeypatch.setattr(evaluation, "train_classifier", first_training)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StopRun):
+            run_experiment(tiny_config(manifest, model="mean_CNN", k_folds=5))
+    finally:
+        tracemalloc.stop()
+    (live,) = heap
+    assert live <= 3 * feature_bytes, live / feature_bytes
 
 
 def test_spawned_workers_share_the_cores_as_blas_threads(monkeypatch):

@@ -1,6 +1,7 @@
 """Preprocessing: scaling, windowing, shrinkage correlation graphs, balancing, IO."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -483,6 +484,21 @@ def test_read_matrix_rejects_non_finite_cells(tmp_path, fmt, value):
     path = tmp_path / f"m.{fmt}"
     (write_matrix_csv if fmt == "csv" else write_matrix_binary)(path, matrix)
     with pytest.raises(DataError, match=r"m\.%s.*row 4, column 2" % fmt):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"STGM", "truncated matrix file"),  # no version
+    (b"STGM\x01\x00\x07", "truncated matrix file"),  # a version, then 1 of 8 shape bytes
+    (b"STGM\x01\x00" + struct.pack("<II", 0, 3), "has no rows"),
+    (b"", "has no rows"),
+    (b"\n\n", "has no rows"),
+    (b"# a comment line only\n", "has no rows"),
+])
+def test_read_matrix_rejects_truncated_and_empty_files(tmp_path, content, message):
+    path = tmp_path / "m.dat"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=message):
         read_matrix(path)
 
 
