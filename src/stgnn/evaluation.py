@@ -13,6 +13,7 @@ import itertools
 import multiprocessing
 import os
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -370,20 +371,32 @@ class GridRecord:
     outcome: TrainOutcome
 
 
-def select_grid_winner(records: list[GridRecord]) -> GridRecord:
+def select_grid_winner(records: Iterable[GridRecord]) -> GridRecord:
     """The point with the lowest (best-epoch) validation loss; ties go to the
-    earlier point and failed points never win."""
+    earlier point and failed points never win.
+
+    Records may arrive one at a time, as their trainings finish. A record
+    that does not beat the running winner drops its state as soon as it
+    arrives, and so does a winner once it is beaten, so only the running
+    winner's state outlives its comparison. Failed records are kept, with
+    their curves and reasons, for the error when every point fails.
+    """
     winner: GridRecord | None = None
+    failed: list[GridRecord] = []
     for record in records:
         if record.outcome.failed:
-            continue
-        if winner is None or record.outcome.best_val_loss < winner.outcome.best_val_loss:
+            failed.append(record)
+        elif winner is None or record.outcome.best_val_loss < winner.outcome.best_val_loss:
+            if winner is not None:
+                winner.outcome.state = None
             winner = record
+        else:
+            record.outcome.state = None
     if winner is None:
         reasons = "; ".join(
             f"point {r.index} {r.point.to_dict()}: "
             f"{r.outcome.failure or 'non-finite loss'} in epoch {r.outcome.failed_epoch}"
-            for r in records)
+            for r in failed)
         raise HarnessError(f"every grid point failed: {reasons}")
     return winner
 
@@ -485,7 +498,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
                                                  seed=config.seed)
         model_name = f"{config.model}_{4 * config.windows_per_scan}split"
     else:
-        fold_reports = _run_deep_folds(samples, plan, spec, config)
+        features, adjacency, labels, subjects = stack_samples(samples)
+        del samples  # training reads the stack: the per-window arrays would hold it twice
+        fold_reports = _run_deep_folds((features, adjacency, labels), subjects, plan, spec, config)
         model_name = spec.name()
 
     aggregate = {}
@@ -522,36 +537,42 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _run_deep_folds(samples: list[GraphSample], plan: FoldPlan, spec: ModelSpec,
+def _run_deep_folds(data, subjects: list[str], plan: FoldPlan, spec: ModelSpec,
                     config: ExperimentConfig) -> list[FoldReport]:
-    features, adjacency, labels, subjects = stack_samples(samples)
-    data = (features, adjacency, labels)
+    """Train, select and score one fold at a time, in key order: a fold's
+    trainings, winner and scoring model are released before the next fold's
+    outcomes are read."""
     rows = [plan.rows(subjects, fold) for fold in range(plan.k)]
-    outcomes = _train_grid(data, rows, spec, config)
-
     points = config.grid.points()
     reports = []
-    for fold in range(plan.k):
-        records = [GridRecord(index=i, point=points[i], outcome=outcomes[(fold, i)])
-                   for i in range(len(points))]
-        winner = select_grid_winner(records)
-        model = build_model(replace(spec, dropout=winner.point.dropout,
-                                    seed=derived_seed(config.seed, fold, winner.index)),
-                            *features.shape[1:])
-        model.load_state_dict(winner.outcome.state)
-        test_x, test_a, test_y = _take(data, rows[fold]["test"])
-        metrics = compute_metrics(predict_scores(model, test_x, test_a), test_y)
-        reports.append(FoldReport(
-            fold=fold,
-            hyperparameters=winner.point.to_dict(),
-            auc=metrics.auc, sensitivity=metrics.sensitivity,
-            specificity=metrics.specificity, roc=metrics.roc,
-            train_curve=winner.outcome.train_curve, val_curve=winner.outcome.val_curve,
-            best_epoch=winner.outcome.best_epoch,
-            best_val_loss=winner.outcome.best_val_loss,
-            link_curve=winner.outcome.link_curve,
-            entropy_curve=winner.outcome.entropy_curve))
+    with _train_grid(data, rows, spec, config) as outcomes:
+        for fold in range(plan.k):
+            records = (GridRecord(index=i, point=point, outcome=next(outcomes))
+                       for i, point in enumerate(points))
+            reports.append(_score_fold(fold, records, data, rows[fold]["test"], spec, config))
     return reports
+
+
+def _score_fold(fold: int, records: Iterable[GridRecord], data, test_rows: np.ndarray,
+                spec: ModelSpec, config: ExperimentConfig) -> FoldReport:
+    """Select the fold's winner from its grid records and score the test rows with it."""
+    winner = select_grid_winner(records)
+    model = build_model(replace(spec, dropout=winner.point.dropout,
+                                seed=derived_seed(config.seed, fold, winner.index)),
+                        *data[0].shape[1:])
+    model.load_state_dict(winner.outcome.state)
+    test_x, test_a, test_y = _take(data, test_rows)
+    metrics = compute_metrics(predict_scores(model, test_x, test_a), test_y)
+    return FoldReport(
+        fold=fold,
+        hyperparameters=winner.point.to_dict(),
+        auc=metrics.auc, sensitivity=metrics.sensitivity,
+        specificity=metrics.specificity, roc=metrics.roc,
+        train_curve=winner.outcome.train_curve, val_curve=winner.outcome.val_curve,
+        best_epoch=winner.outcome.best_epoch,
+        best_val_loss=winner.outcome.best_val_loss,
+        link_curve=winner.outcome.link_curve,
+        entropy_curve=winner.outcome.entropy_curve)
 
 
 # grid training ------------------------------------------------------------------------------
@@ -596,7 +617,9 @@ def _spawn_pool(workers: int, initializer=None, initargs=()):
 
     Workers read the thread variables when they import numpy, so they are
     set before the pool starts and taken back after it has closed; a variable
-    that is already set is left as it is.
+    that is already set is left as it is. An exception that leaves the block
+    cancels the tasks still queued, so the pool closes once the running ones
+    finish.
     """
     threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
     added = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
@@ -605,19 +628,28 @@ def _spawn_pool(workers: int, initializer=None, initargs=()):
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn"),
                                  initializer=initializer, initargs=initargs) as pool:
-            yield pool
+            try:
+                yield pool
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     finally:
         for name in added:
             os.environ.pop(name, None)
 
 
+@contextlib.contextmanager
 def _train_grid(data, rows, spec: ModelSpec,
-                config: ExperimentConfig) -> dict[tuple[int, int], TrainOutcome]:
-    """Train every grid point of every fold, serially or on at most
-    ``config.jobs`` worker processes; both run ``_train_key`` over the same keys.
+                config: ExperimentConfig) -> Iterator[Iterator[TrainOutcome]]:
+    """An iterator over the outcomes of every grid point of every fold, in key
+    order (fold-major), trained serially or on at most ``config.jobs`` worker
+    processes; both run ``_train_key`` over the same keys. Serially a key
+    trains only when its outcome is asked for. Neither path keeps an outcome
+    once it has been handed out.
 
     Workers are spawned, not forked, so they inherit no state of this process:
-    the initializer's arguments are all they know.
+    the initializer's arguments are all they know. An exception that leaves
+    the ``with`` block cancels the trainings still queued.
     """
     keys = [(fold, index) for fold in range(len(rows))
             for index in range(len(config.grid.points()))]
@@ -628,13 +660,12 @@ def _train_grid(data, rows, spec: ModelSpec,
     try:
         if workers > 1:
             with _spawn_pool(workers, _install_grid_context, context) as pool:
-                outcomes = list(pool.map(_train_key, keys))
+                yield pool.map(_train_key, keys)
         else:
             _install_grid_context(*context)
-            outcomes = list(map(_train_key, keys))
+            yield map(_train_key, keys)
     finally:
         _grid_context.clear()
-    return dict(zip(keys, outcomes))
 
 
 # baseline ---------------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import pickle
+import time
 import tracemalloc
 import weakref
 
@@ -601,6 +602,9 @@ class RecordingPool:
     def __exit__(self, *exc_info):
         return False
 
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass  # nothing is queued: a task runs when its result is read
+
     def map(self, fn, keys):
         keys = list(keys)
         self.tasks.extend(keys)
@@ -663,7 +667,7 @@ class StopRun(Exception):
     pass
 
 
-def test_run_holds_the_dataset_at_most_three_times_before_training(tmp_path, monkeypatch):
+def test_run_holds_only_the_sample_stack_before_training(tmp_path, monkeypatch):
     manifest = generate_dataset(SynthConfig(n_subjects=16, n_nodes=20, session_length=400,
                                             n_sessions=4, seed=2), tmp_path)
     feature_bytes = 16 * 4 * 20 * 400 * 4  # one float32 window per session
@@ -674,14 +678,71 @@ def test_run_holds_the_dataset_at_most_three_times_before_training(tmp_path, mon
         raise StopRun
 
     monkeypatch.setattr(evaluation, "train_classifier", first_training)
+    config = tiny_config(manifest, model="mean_CNN", k_folds=5)
+    with pytest.raises(StopRun):
+        run_experiment(config)  # imports what the run imports lazily, so the count is the run's
     tracemalloc.start()
     try:
         with pytest.raises(StopRun):
-            run_experiment(tiny_config(manifest, model="mean_CNN", k_folds=5))
+            run_experiment(config)
     finally:
         tracemalloc.stop()
-    (live,) = heap
-    assert live <= 3 * feature_bytes, live / feature_bytes
+    live = heap[-1]
+    # the stack alone is 1.0 times the features; with the per-window samples kept it was 2.0
+    assert live <= 1.1 * feature_bytes, live / feature_bytes
+
+
+def test_all_failed_fold_stops_the_run_before_the_next_fold_trains(tiny_manifest, monkeypatch):
+    trained = []
+
+    def failing_training(spec, data, train_index, val_index, settings, seed):
+        trained.append(seed)
+        return TrainOutcome(None, -1, np.inf, [], [], failed=True, failed_epoch=0,
+                            failure="non-finite validation loss")
+
+    monkeypatch.setattr(evaluation, "train_classifier", failing_training)
+    config = tiny_config(tiny_manifest, grid=TWO_POINT_GRID)
+    with pytest.raises(HarnessError, match="every grid point failed: point 0 .* point 1 "):
+        run_experiment(config)
+    assert trained == [derived_seed(config.seed, 0, index) for index in range(2)]
+
+
+def test_pool_cancels_queued_tasks_when_the_block_raises():
+    started = time.monotonic()
+    with pytest.raises(StopRun):
+        with evaluation._spawn_pool(2) as pool:
+            futures = [pool.submit(time.sleep, 1.0) for _ in range(12)]
+            raise StopRun
+    elapsed = time.monotonic() - started
+    # the 2 running tasks and the one in the call queue finish; the rest never start
+    assert sum(future.cancelled() for future in futures) >= 12 - 3
+    assert elapsed < 12 * 1.0 / 2, elapsed  # all 12 would take 6 s on 2 workers
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_keeps_no_state_but_the_running_winners(tiny_manifest, monkeypatch, jobs):
+    pools: list[RecordingPool] = []
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor",
+                        lambda **kwargs: RecordingPool(pools, **kwargs))
+    states = []  # a weak reference to one array of each returned best state
+    alive = []  # how many earlier states are alive as each training starts
+    train_classifier = evaluation.train_classifier
+
+    def recording_train_classifier(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in states))
+        outcome = train_classifier(*args, **kwargs)
+        states.append(weakref.ref(next(iter(outcome.state.values()))))
+        return outcome
+
+    monkeypatch.setattr(evaluation, "train_classifier", recording_train_classifier)
+    grid = HyperGrid(dropouts=(0.0,), learning_rates=(1e-2, 1e-7, 1e-3), weight_decays=(0.0,),
+                     epochs=2, batch_size=8)
+    run_experiment(tiny_config(tiny_manifest, grid=grid, jobs=jobs))
+    assert len(pools) == (jobs > 1)
+    # 2 folds x 3 points: each fold's first training starts with nothing from
+    # the last fold, and the later ones with only the fold's running winner
+    assert alive == [0, 1, 1] * 2
+    assert [ref() for ref in states] == [None] * 6
 
 
 def test_spawned_workers_share_the_cores_as_blas_threads(monkeypatch):
