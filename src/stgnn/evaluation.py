@@ -13,8 +13,10 @@ import itertools
 import multiprocessing
 import os
 import time
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -25,8 +27,8 @@ from .errors import ConfigError, HarnessError, MetricError
 from .graph import entropy_loss, link_loss
 from .models import ModelSpec, bce_loss, build_model
 from .nn import Adam, Linear
-from .prep import (GraphSample, SubjectRecord, balance_by_subject, build_samples,
-                   load_manifest, stack_samples, window_adjacency, window_correlation)
+from .prep import (SubjectRecord, balance_by_subject, build_samples, load_manifest,
+                   stack_samples, window_adjacency, window_correlation)
 
 
 def derived_rng(*parts: int) -> np.random.Generator:
@@ -64,19 +66,6 @@ class FoldPlan:
                 for role, members in roles.items()}
 
 
-def _subject_labels(samples: list[GraphSample]) -> list[tuple[str, int]]:
-    seen: dict[str, int] = {}
-    order: list[str] = []
-    for s in samples:
-        if s.subject_id in seen:
-            if seen[s.subject_id] != s.label:
-                raise ConfigError(f"subject {s.subject_id} has inconsistent labels")
-        else:
-            seen[s.subject_id] = s.label
-            order.append(s.subject_id)
-    return [(sid, seen[sid]) for sid in order]
-
-
 def _greedy_assign(subjects: list[tuple[str, int]], k: int,
                    rng: np.random.Generator) -> dict[str, int]:
     """Shuffle, then place each subject in the fold with the fewest of its class."""
@@ -93,22 +82,24 @@ def _greedy_assign(subjects: list[tuple[str, int]], k: int,
     return assignment
 
 
-def plan_folds(samples: list[GraphSample], k: int = 5, seed: int = 0) -> FoldPlan:
+def plan_folds(subjects: list[str], labels, k: int = 5, seed: int = 0) -> FoldPlan:
     """Stratified assignment of whole subjects to k outer folds, plus an
     inner split that reserves one fifth of each training fold's subjects
-    (stratified the same way) for validation."""
+    (stratified the same way) for validation. ``subjects`` and ``labels``
+    give each sample's subject and label, as ``stack_samples`` returns them."""
     if k < 2:
         raise ConfigError(f"cross-validation needs at least 2 folds; got {k}")
-    subjects = _subject_labels(samples)
-    per_class: dict[int, int] = {}
-    for _, label in subjects:
-        per_class[label] = per_class.get(label, 0) + 1
+    label_of: dict[str, int] = {}  # each subject once, in order of first appearance
+    for sid, label in zip(subjects, labels):
+        if label_of.setdefault(sid, int(label)) != int(label):
+            raise ConfigError(f"subject {sid} has inconsistent labels")
+    per_class = dict(Counter(label_of.values()))
     if any(count < k for count in per_class.values()):
         raise ConfigError(f"need at least k={k} subjects per class; have {per_class}")
-    folds = _greedy_assign(subjects, k, derived_rng(seed, 0xF01D))
+    folds = _greedy_assign(list(label_of.items()), k, derived_rng(seed, 0xF01D))
     inner: dict[int, dict[str, str]] = {}
     for fold in range(k):
-        train_pool = [(sid, label) for sid, label in subjects if folds[sid] != fold]
+        train_pool = [(sid, label) for sid, label in label_of.items() if folds[sid] != fold]
         val_rng = derived_rng(seed, 0x1AEA, fold)
         roles: dict[str, str] = {sid: "train" for sid, _ in train_pool}
         for label in sorted({lab for _, lab in train_pool}):
@@ -213,12 +204,11 @@ class HyperGrid:
                 itertools.product(self.dropouts, self.learning_rates, self.weight_decays)]
 
     @classmethod
-    def fast(cls, lr: float = 1e-3, epochs: int = 30, batch_size: int | None = 32) -> "HyperGrid":
+    def fast(cls, lr: float = 1e-3) -> "HyperGrid":
         """Single sensible point for desk-scale runs (no dropout, no weight
         decay); small batches so tiny datasets still take enough optimizer
         steps per epoch."""
-        return cls(dropouts=(0.0,), learning_rates=(lr,), weight_decays=(0.0,),
-                   epochs=epochs, batch_size=batch_size)
+        return cls(dropouts=(0.0,), learning_rates=(lr,), weight_decays=(0.0,), batch_size=32)
 
 
 def default_batch_size(spec: ModelSpec) -> int:
@@ -279,10 +269,9 @@ def evaluate_loss(model, features, adjacency, labels, settings: TrainSettings,
     total = 0.0
     with ad.no_tape():
         for start in range(0, len(labels), chunk):
-            sl = slice(start, start + chunk)
-            adj = adjacency[sl] if adjacency is not None else None
-            loss, _ = _batch_loss(model, features[sl], adj, labels[sl], settings, train=False)
-            total += loss.item() * (min(start + chunk, len(labels)) - start)
+            x, a, y = _take((features, adjacency, labels), slice(start, start + chunk))
+            loss, _ = _batch_loss(model, x, a, y, settings, train=False)
+            total += loss.item() * len(y)
     return total / len(labels)
 
 
@@ -290,15 +279,14 @@ def predict_scores(model, features, adjacency, chunk: int = 256) -> np.ndarray:
     out = []
     with ad.no_tape():
         for start in range(0, len(features), chunk):
-            sl = slice(start, start + chunk)
-            adj = adjacency[sl] if adjacency is not None else None
-            probs, _ = model(features[sl], adj, train=False)
+            probs, _ = model(*_take((features, adjacency), slice(start, start + chunk)),
+                             train=False)
             out.append(probs.numpy())
     return np.concatenate(out)
 
 
-def _take(data, rows: np.ndarray) -> tuple:
-    """The (features, adjacency, labels) stack at ``rows``; no adjacency stays None."""
+def _take(data, rows) -> tuple:
+    """Each array of ``data`` at ``rows`` (indices or a slice); no adjacency stays None."""
     return tuple(None if array is None else array[rows] for array in data)
 
 
@@ -489,18 +477,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     # only graph models read an adjacency; the baseline builds its own correlations
     threshold = spec.threshold_percent if spec is not None and spec.needs_graph else None
-    samples = build_samples(records, config.windows_per_scan, threshold)
-    del records  # the windows are copies: nothing reads the raw sessions again
-    plan = plan_folds(samples, k=config.k_folds, seed=config.seed)
+    # every model reads the stack: the sample list dies once stacked, so no window is held twice
+    features, adjacency, labels, subjects = stack_samples(
+        build_samples(records, config.windows_per_scan, threshold))
+    plan = plan_folds(subjects, labels, k=config.k_folds, seed=config.seed)
+    rows = [plan.rows(subjects, fold) for fold in range(plan.k)]
+    data = (features, adjacency, labels)
 
     if is_baseline:
-        fold_reports = baseline_flat_correlation(samples, plan, binarize=config.model == "logreg_bin",
+        fold_reports = baseline_flat_correlation(data, rows, binarize=config.model == "logreg_bin",
                                                  seed=config.seed)
         model_name = f"{config.model}_{4 * config.windows_per_scan}split"
     else:
-        features, adjacency, labels, subjects = stack_samples(samples)
-        del samples  # training reads the stack: the per-window arrays would hold it twice
-        fold_reports = _run_deep_folds((features, adjacency, labels), subjects, plan, spec, config)
+        fold_reports = _run_deep_folds(data, rows, spec, config)
         model_name = spec.name()
 
     aggregate = {}
@@ -537,16 +526,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _run_deep_folds(data, subjects: list[str], plan: FoldPlan, spec: ModelSpec,
+def _run_deep_folds(data, rows: list[dict[str, np.ndarray]], spec: ModelSpec,
                     config: ExperimentConfig) -> list[FoldReport]:
     """Train, select and score one fold at a time, in key order: a fold's
     trainings, winner and scoring model are released before the next fold's
     outcomes are read."""
-    rows = [plan.rows(subjects, fold) for fold in range(plan.k)]
     points = config.grid.points()
     reports = []
     with _train_grid(data, rows, spec, config) as outcomes:
-        for fold in range(plan.k):
+        for fold in range(len(rows)):
             records = (GridRecord(index=i, point=point, outcome=next(outcomes))
                        for i, point in enumerate(points))
             reports.append(_score_fold(fold, records, data, rows[fold]["test"], spec, config))
@@ -564,10 +552,7 @@ def _score_fold(fold: int, records: Iterable[GridRecord], data, test_rows: np.nd
     test_x, test_a, test_y = _take(data, test_rows)
     metrics = compute_metrics(predict_scores(model, test_x, test_a), test_y)
     return FoldReport(
-        fold=fold,
-        hyperparameters=winner.point.to_dict(),
-        auc=metrics.auc, sensitivity=metrics.sensitivity,
-        specificity=metrics.specificity, roc=metrics.roc,
+        fold=fold, hyperparameters=winner.point.to_dict(), **vars(metrics),
         train_curve=winner.outcome.train_curve, val_curve=winner.outcome.val_curve,
         best_epoch=winner.outcome.best_epoch,
         best_val_loss=winner.outcome.best_val_loss,
@@ -619,7 +604,7 @@ def _spawn_pool(workers: int, initializer=None, initargs=()):
     set before the pool starts and taken back after it has closed; a variable
     that is already set is left as it is. An exception that leaves the block
     cancels the tasks still queued, so the pool closes once the running ones
-    finish.
+    finish. A worker that dies breaks the pool: that is a ``HarnessError``.
     """
     threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
     added = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
@@ -630,6 +615,10 @@ def _spawn_pool(workers: int, initializer=None, initargs=()):
                                  initializer=initializer, initargs=initargs) as pool:
             try:
                 yield pool
+            except BrokenProcessPool:  # each spawned worker first imports the caller's script
+                raise HarnessError("a --jobs worker died: it was killed (out of memory?), or a "
+                                   "script called stgnn.cli.main or run_experiment without an "
+                                   "`if __name__ == \"__main__\":` guard") from None
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
@@ -676,30 +665,28 @@ BASELINE_WEIGHT_DECAY = 1e-4
 BASELINE_EPOCHS = 300
 
 
-def flat_correlation_features(samples: list[GraphSample], binarize: bool) -> np.ndarray:
-    """Upper-triangle correlation values per sample; optionally the binary
-    5-percent-strongest-edge indicator instead."""
-    n = samples[0].features.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.asarray([(window_adjacency(s, 5.0) if binarize else window_correlation(s))[iu]
-                       for s in samples], dtype=np.float32)
+def flat_correlation_features(features: np.ndarray, binarize: bool) -> np.ndarray:
+    """Upper-triangle correlation values of each (nodes x timesteps) window in
+    ``features``; optionally the binary 5-percent-strongest-edge indicator instead."""
+    iu = np.triu_indices(features.shape[1], k=1)
+    return np.asarray([(window_adjacency(w, 5.0) if binarize else window_correlation(w))[iu]
+                       for w in features], dtype=np.float32)
 
 
-def baseline_flat_correlation(samples: list[GraphSample], plan: FoldPlan,
-                              binarize: bool, seed: int = 0) -> list[FoldReport]:
-    """L2-regularized logistic regression on flattened correlations, trained
-    and scored on exactly the same folds as the deep models."""
-    table = flat_correlation_features(samples, binarize=binarize)
-    labels = np.array([s.label for s in samples], dtype=np.float32)
-    subjects = [s.subject_id for s in samples]
+def baseline_flat_correlation(data, rows: list[dict[str, np.ndarray]], binarize: bool,
+                              seed: int = 0) -> list[FoldReport]:
+    """L2-regularized logistic regression on flattened correlations of the
+    (features, adjacency, labels) stack, trained on each fold's train and val
+    rows and scored on its test rows: exactly the deep models' folds."""
+    features, _, labels = data
+    table = flat_correlation_features(features, binarize=binarize)
     reports = []
     hyper = {"estimator": "logistic", "lr": BASELINE_LR,
              "weight_decay": BASELINE_WEIGHT_DECAY, "epochs": BASELINE_EPOCHS,
              "binarize": binarize}
-    for fold in range(plan.k):
-        rows = plan.rows(subjects, fold)
-        train = np.union1d(rows["train"], rows["val"])
-        test = rows["test"]
+    for fold, fold_rows in enumerate(rows):
+        train = np.union1d(fold_rows["train"], fold_rows["val"])
+        test = fold_rows["test"]
         rng = derived_rng(seed, 0xBA5E, fold)
         linear = Linear(table.shape[1], 1, rng)
         optimizer = Adam([linear.weight, linear.bias], lr=BASELINE_LR,
@@ -718,9 +705,7 @@ def baseline_flat_correlation(samples: list[GraphSample], plan: FoldPlan,
             probs = ad.reshape(ad.sigmoid(linear(Tensor(table[test]))), (len(test),))
         metrics = compute_metrics(probs.numpy(), labels[test])
         reports.append(FoldReport(
-            fold=fold, hyperparameters=dict(hyper),
-            auc=metrics.auc, sensitivity=metrics.sensitivity,
-            specificity=metrics.specificity, roc=metrics.roc,
+            fold=fold, hyperparameters=dict(hyper), **vars(metrics),
             train_curve=train_curve, val_curve=[], best_epoch=BASELINE_EPOCHS - 1,
             best_val_loss=train_curve[-1]))
     return reports

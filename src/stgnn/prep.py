@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,13 +149,14 @@ def threshold_edges(corr: np.ndarray, percent: float) -> np.ndarray:
     return dense
 
 
-def window_correlation(sample: GraphSample) -> np.ndarray:
-    return covariance_to_correlation(ledoit_wolf_covariance(sample.features.T))
+def window_correlation(window: np.ndarray) -> np.ndarray:
+    """Shrinkage correlation of one nodes x timesteps window."""
+    return covariance_to_correlation(ledoit_wolf_covariance(window.T))
 
 
-def window_adjacency(sample: GraphSample, percent: float) -> np.ndarray:
-    """Adjacency of one sample from its own (scaled) window."""
-    return threshold_edges(window_correlation(sample), percent)
+def window_adjacency(window: np.ndarray, percent: float) -> np.ndarray:
+    """Adjacency of one (scaled) nodes x timesteps window from its own correlations."""
+    return threshold_edges(window_correlation(window), percent)
 
 
 # class balancing --------------------------------------------------------------
@@ -180,11 +182,15 @@ def balance_by_subject(records: list[SubjectRecord], seed: int) -> list[SubjectR
 def build_samples(records: list[SubjectRecord], windows_per_scan: int,
                   threshold_percent: float | None) -> list[GraphSample]:
     """Window and scale every record; give each window its own adjacency
-    unless ``threshold_percent`` is None."""
-    samples = [sample for record in records for sample in window_split(record, windows_per_scan)]
+    unless ``threshold_percent`` is None. The windows are copies, so each
+    record's ``sessions`` is emptied (released) as soon as it is windowed."""
+    samples = []
+    for record in records:
+        samples += window_split(record, windows_per_scan)
+        record.sessions = []
     if threshold_percent is not None:
         for sample in samples:
-            sample.adjacency = window_adjacency(sample, threshold_percent)
+            sample.adjacency = window_adjacency(sample.features, threshold_percent)
     return samples
 
 
@@ -295,6 +301,11 @@ def load_manifest(path: Path) -> list[SubjectRecord]:
         raise DataError(f"manifest {path}: n_nodes must be a positive integer; got {n_nodes!r}")
     if not isinstance(doc["subjects"], list):
         raise DataError(f"manifest {path}: subjects must be a list; got {doc['subjects']!r}")
+    # a repeated id would merge two subjects' sessions into one fold subject
+    ids = Counter(str(e["id"]) for e in doc["subjects"] if isinstance(e, dict) and "id" in e)
+    for sid, count in ids.items():
+        if count > 1:
+            raise DataError(f"manifest {path}: subject id {sid!r} is listed {count} times")
     base = path.parent
     records: list[SubjectRecord] = []
     first: tuple[str, int] | None = None  # (path, timesteps) of the first session

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck, random_projection_loss
+from test_evaluation import fold_rows, subject_rows  # the lightweight sample rows
 
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
@@ -24,7 +25,7 @@ from stgnn.graph import (DiffPoolLevel, GCNLayer, GraphSAGELayer, entropy_loss, 
 from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.nn import Linear
 from stgnn.prep import (covariance_to_correlation, ledoit_wolf_covariance,
-                        prepare_graph_samples, threshold_edges)
+                        prepare_graph_samples, stack_samples, threshold_edges)
 from stgnn.synth import SynthConfig, generate, generate_dataset
 
 GRAD_TOLERANCE = 1e-4
@@ -263,7 +264,6 @@ def test_criterion_4_ledoit_wolf_oracle():
 
 
 def test_criterion_5_fold_protocol_guards():
-    from test_evaluation import fake_samples  # same lightweight sample builder
     ok = True
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -271,7 +271,7 @@ def test_criterion_5_fold_protocol_guards():
         n1 = 5 * int(rng.integers(2, 9))
         labels = {f"a{i}": 0 for i in range(n0)}
         labels.update({f"b{i}": 1 for i in range(n1)})
-        plan = plan_folds(fake_samples(labels, per_subject=1), k=5, seed=seed)
+        plan = plan_folds(*subject_rows(labels, per_subject=1), k=5, seed=seed)
         seen = set()
         global_p = n1 / (n0 + n1)
         for fold in range(5):
@@ -330,11 +330,12 @@ def synthetic_runs(tmp_path_factory):
         k_folds=5, seed=7, grid=grid, permute_labels=True))
     elapsed = time.monotonic() - started
     records = generate(config)
-    samples = prepare_graph_samples(records, windows_per_scan=1, threshold_percent=5,
-                                    balance_seed=0)
-    plan = plan_folds(samples, k=5, seed=7)
-    flat = baseline_flat_correlation(samples, plan, binarize=False, seed=7)
-    binarized = baseline_flat_correlation(samples, plan, binarize=True, seed=7)
+    features, adjacency, labels, subjects = stack_samples(
+        prepare_graph_samples(records, windows_per_scan=1, threshold_percent=5, balance_seed=0))
+    data = (features, adjacency, labels)
+    rows = fold_rows(subjects, labels, k=5, seed=7)
+    flat = baseline_flat_correlation(data, rows, binarize=False, seed=7)
+    binarized = baseline_flat_correlation(data, rows, binarize=True, seed=7)
     return {"deep": deep, "null": null, "elapsed": elapsed,
             "flat": flat, "binarized": binarized}
 

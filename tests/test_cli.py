@@ -2,13 +2,20 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stgnn.cli import build_parser, main
 from stgnn.prep import load_manifest, write_manifest, write_matrix_csv
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -164,6 +171,9 @@ def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
     ('{"version": 1, "n_nodes": 3, "subjects": [{"id": "s0", "label": 0, "sessions": []}]}',
      "subject s0: sessions must be a non-empty list of file paths; got []"),
     ("5", "must be a JSON object"),
+    # refused before any session is read: neither file exists
+    ('{"version": 1, "n_nodes": 3, "subjects": [{"id": "s0", "label": 0, "sessions": ["a.csv"]},'
+     ' {"id": "s0", "label": 0, "sessions": ["b.csv"]}]}', "subject id 's0' is listed 2 times"),
 ])
 def test_run_rejects_malformed_manifest_with_one_error_json_line(tmp_path, capsys, document,
                                                                  message):
@@ -175,6 +185,35 @@ def test_run_rejects_malformed_manifest_with_one_error_json_line(tmp_path, capsy
     err = json.loads(captured)
     assert err["error"] == "DataError"
     assert message in err["message"]
+
+
+UNGUARDED_SCRIPT = """
+import sys
+
+from stgnn import cli
+
+# no `if __name__ == "__main__":` guard, so each spawned worker makes this call again
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_jobs_run_from_a_script_without_main_guard_ends_with_one_error_json_line(dataset,
+                                                                                  tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    # the dataset is small enough that a worker dies where the pool sees it
+    done = subprocess.run(
+        [sys.executable, str(script), "run", "--data", str(dataset), "--folds", "2",
+         "--grid-fast", "--epochs", "1", "--batch-size", "8", "--jobs", "2",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    err = json.loads(done.stderr.splitlines()[-1])
+    assert err["error"] == "HarnessError"
+    assert 'if __name__ == "__main__":' in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model", ["mean_CNN_GCN5", "logreg"])

@@ -7,6 +7,7 @@ import pickle
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,14 +23,20 @@ from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
                               select_grid_winner, train_classifier, GridRecord,
                               TrainOutcome, TrainSettings)
 from stgnn.models import ModelSpec, bce_loss, build_model
-from stgnn.prep import GraphSample, prepare_graph_samples
+from stgnn.prep import prepare_graph_samples, stack_samples
 from stgnn.synth import SynthConfig, generate, generate_dataset
 
 
-def fake_samples(labels_by_subject: dict[str, int], per_subject: int = 2):
-    return [GraphSample(subject_id=sid, label=label, features=np.zeros((2, 4), dtype=np.float32),
-                        adjacency=np.zeros((2, 2), dtype=np.float32))
-            for sid, label in labels_by_subject.items() for _ in range(per_subject)]
+def subject_rows(labels_by_subject: dict[str, int], per_subject: int = 2):
+    """Each sample's subject and label, as ``stack_samples`` returns them."""
+    subjects = [sid for sid in labels_by_subject for _ in range(per_subject)]
+    return subjects, [labels_by_subject[sid] for sid in subjects]
+
+
+def fold_rows(subjects, labels, k: int, seed: int = 0) -> list[dict[str, np.ndarray]]:
+    """Each fold's train, val and test rows, as ``run_experiment`` computes them."""
+    plan = plan_folds(subjects, labels, k=k, seed=seed)
+    return [plan.rows(subjects, fold) for fold in range(k)]
 
 
 # fold planning -----------------------------------------------------------------
@@ -37,7 +44,7 @@ def fake_samples(labels_by_subject: dict[str, int], per_subject: int = 2):
 
 def test_plan_folds_balanced_ten_subjects():
     labels = {f"s{i}": i % 2 for i in range(10)}
-    plan = plan_folds(fake_samples(labels), k=5, seed=0)
+    plan = plan_folds(*subject_rows(labels), k=5, seed=0)
     for fold in range(5):
         members = plan.test_subjects(fold)
         assert len(members) == 2
@@ -46,7 +53,7 @@ def test_plan_folds_balanced_ten_subjects():
 
 def test_plan_folds_is_a_partition():
     labels = {f"s{i}": i % 2 for i in range(20)}
-    plan = plan_folds(fake_samples(labels), k=5, seed=3)
+    plan = plan_folds(*subject_rows(labels), k=5, seed=3)
     all_subjects = set()
     for fold in range(5):
         members = plan.test_subjects(fold)
@@ -57,7 +64,7 @@ def test_plan_folds_is_a_partition():
 
 def test_plan_folds_inner_split_disjoint_and_stratified():
     labels = {f"s{i}": i % 2 for i in range(30)}
-    plan = plan_folds(fake_samples(labels), k=5, seed=1)
+    plan = plan_folds(*subject_rows(labels), k=5, seed=1)
     for fold in range(5):
         train = plan.inner_subjects(fold, "train")
         val = plan.inner_subjects(fold, "val")
@@ -74,7 +81,7 @@ def test_plan_folds_class_proportions_over_seeds():
         n1 = 5 * int(rng.integers(2, 9))
         labels = {f"a{i}": 0 for i in range(n0)}
         labels.update({f"b{i}": 1 for i in range(n1)})
-        plan = plan_folds(fake_samples(labels, per_subject=1), k=5, seed=seed)
+        plan = plan_folds(*subject_rows(labels, per_subject=1), k=5, seed=seed)
         global_p = n1 / (n0 + n1)
         for fold in range(5):
             members = plan.test_subjects(fold)
@@ -85,12 +92,12 @@ def test_plan_folds_class_proportions_over_seeds():
 def test_plan_folds_needs_enough_subjects():
     labels = {"a": 0, "b": 0, "c": 1, "d": 1}
     with pytest.raises(ConfigError):
-        plan_folds(fake_samples(labels), k=5, seed=0)
+        plan_folds(*subject_rows(labels), k=5, seed=0)
 
 
 def test_leakage_guard_detects_corruption():
     labels = {f"s{i}": i % 2 for i in range(10)}
-    plan = plan_folds(fake_samples(labels), k=5, seed=0)
+    plan = plan_folds(*subject_rows(labels), k=5, seed=0)
     leaked = FoldPlan(k=plan.k, folds=plan.folds,
                       inner={f: dict(v) for f, v in plan.inner.items()})
     victim = next(iter(plan.test_subjects(0)))
@@ -406,8 +413,9 @@ def test_baseline_scores_each_test_fold_without_a_tape(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "sigmoid", recording_sigmoid)
-    samples = synth_samples(n_subjects=8)
-    baseline_flat_correlation(samples, plan_folds(samples, k=2, seed=0), binarize=False)
+    features, adjacency, labels, subjects = synth_stack(n_subjects=8)
+    baseline_flat_correlation((features, adjacency, labels), fold_rows(subjects, labels, k=2),
+                              binarize=False)
     fold = [True] * evaluation.BASELINE_EPOCHS + [False]  # train every epoch, then score
     assert taped == fold * 2
 
@@ -448,34 +456,32 @@ def test_training_that_diverges_everywhere_names_the_reason(tiny_manifest, monke
 # baseline ----------------------------------------------------------------------------
 
 
-def synth_samples(n_subjects=12, nodes=15, length=128, effect=1.0, seed=0,
-                  threshold=20):
+def synth_stack(n_subjects=12, nodes=15, length=128, effect=1.0, seed=0, threshold=20):
+    """(features, adjacency, labels, subjects) of a synthetic dataset."""
     records = generate(SynthConfig(n_subjects=n_subjects, n_nodes=nodes,
                                    session_length=length, n_sessions=2,
                                    effect_size=effect, seed=seed))
-    return prepare_graph_samples(records, windows_per_scan=1,
-                                 threshold_percent=threshold, balance_seed=0)
+    return stack_samples(prepare_graph_samples(records, windows_per_scan=1,
+                                               threshold_percent=threshold, balance_seed=0))
 
 
 def test_flat_features_triangle_length():
-    samples = fake_samples({"a": 0, "b": 1}, per_subject=1)
-    for s in samples:
-        s.features = np.random.default_rng(0).normal(size=(3, 16)).astype(np.float32)
-    table = flat_correlation_features(samples, binarize=False)
+    features = np.random.default_rng(0).normal(size=(2, 3, 16)).astype(np.float32)
+    table = flat_correlation_features(features, binarize=False)
     assert table.shape == (2, 3)
 
 
 def test_flat_features_binarized_are_binary():
-    samples = synth_samples(n_subjects=4)
-    table = flat_correlation_features(samples, binarize=True)
+    features = synth_stack(n_subjects=4)[0]
+    table = flat_correlation_features(features, binarize=True)
     assert set(np.unique(table)) <= {0.0, 1.0}
     assert table.shape[1] == 15 * 14 // 2
 
 
 def test_baseline_separates_covariance_signal():
-    samples = synth_samples(n_subjects=12, effect=1.0)
-    plan = plan_folds(samples, k=2, seed=0)
-    reports = baseline_flat_correlation(samples, plan, binarize=False, seed=0)
+    features, adjacency, labels, subjects = synth_stack(n_subjects=12, effect=1.0)
+    reports = baseline_flat_correlation((features, adjacency, labels),
+                                        fold_rows(subjects, labels, k=2), binarize=False, seed=0)
     mean_auc = np.mean([r.auc for r in reports])
     assert mean_auc >= 0.9
 
@@ -494,7 +500,7 @@ def tiny_manifest(tmp_path_factory):
 def tiny_config(manifest, **overrides) -> ExperimentConfig:
     base = dict(manifest=str(manifest), model="mean_CNN", threshold_percent=20,
                 windows_per_scan=1, k_folds=2, seed=5,
-                grid=HyperGrid.fast(lr=1e-3, epochs=2, batch_size=8))
+                grid=replace(HyperGrid.fast(lr=1e-3), epochs=2, batch_size=8))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -538,8 +544,8 @@ TWO_POINT_GRID = HyperGrid(dropouts=(0.0,), learning_rates=(1e-2, 1e-7), weight_
 
 
 def test_run_experiment_single_point_grid_selects_it(tiny_manifest):
-    doc = run_experiment(tiny_config(tiny_manifest, grid=HyperGrid.fast(lr=1e-2, epochs=2,
-                                                                        batch_size=8)))
+    doc = run_experiment(tiny_config(tiny_manifest, grid=replace(HyperGrid.fast(lr=1e-2),
+                                                                    epochs=2, batch_size=8)))
     for report in doc["folds"]:
         assert report["hyperparameters"] == HyperPoint(0.0, 1e-2, 0.0).to_dict()
 
@@ -770,13 +776,13 @@ def test_threshold_in_model_name_builds_and_reports_the_graphs(tiny_manifest, mo
     received = set()
     window_adjacency = prep.window_adjacency
 
-    def recording_window_adjacency(sample, threshold_percent):
+    def recording_window_adjacency(window, threshold_percent):
         received.add(threshold_percent)
-        return window_adjacency(sample, threshold_percent)
+        return window_adjacency(window, threshold_percent)
 
     monkeypatch.setattr(prep, "window_adjacency", recording_window_adjacency)
     doc = run_experiment(tiny_config(tiny_manifest, model=model, threshold_percent=flag,
-                                     grid=HyperGrid.fast(epochs=1, batch_size=8)))
+                                     grid=replace(HyperGrid.fast(), epochs=1, batch_size=8)))
     assert received == {percent}
     assert doc["config"]["model"] == model
     assert doc["config"]["threshold_percent"] == percent
@@ -820,7 +826,7 @@ def test_effect_zero_dataset_scores_at_chance(tmp_path):
     manifest = generate_dataset(config, tmp_path)
     doc = run_experiment(ExperimentConfig(
         manifest=str(manifest), model="mean_CNN", threshold_percent=20,
-        k_folds=5, seed=11, grid=HyperGrid.fast(epochs=5, batch_size=16)))
+        k_folds=5, seed=11, grid=replace(HyperGrid.fast(), epochs=5, batch_size=16)))
     assert 0.40 <= doc["aggregate"]["auc"]["mean"] <= 0.60
 
 
@@ -854,6 +860,6 @@ def test_ledoit_wolf_runs_once_per_window_that_needs_it(tiny_manifest, monkeypat
     monkeypatch.setattr(prep, "ledoit_wolf_covariance", counted_ledoit_wolf)
     monkeypatch.setattr(prep, "window_split", counted_window_split)
     run_experiment(tiny_config(tiny_manifest, model=model, threshold_percent=5,
-                               grid=HyperGrid.fast(epochs=1, batch_size=8)))
+                               grid=replace(HyperGrid.fast(), epochs=1, batch_size=8)))
     assert calls["windows"] == 16  # 8 subjects x 2 sessions
     assert calls["ledoit_wolf"] == per_window * calls["windows"]

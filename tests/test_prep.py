@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stgnn import prep
 from stgnn.errors import ConfigError, ContractError, DataError
 from stgnn.prep import (SubjectRecord, balance_by_subject, build_samples,
                         covariance_to_correlation, ledoit_wolf_covariance, load_manifest,
@@ -425,6 +426,23 @@ def test_build_samples_without_threshold_has_no_adjacency():
     assert labels.tolist() == [0] * 4 + [1] * 4 and subjects[-1] == "s1"
 
 
+def test_build_samples_releases_each_records_sessions_once_windowed(monkeypatch):
+    records = [_record(n_sessions=2, length=32, nodes=4, label=i % 2, sid=f"s{i}", seed=i)
+               for i in range(3)]
+    holding = []  # which records still hold their sessions as each one is windowed
+    window_split = prep.window_split
+
+    def recording_window_split(record, windows_per_scan):
+        holding.append([len(r.sessions) > 0 for r in records])
+        return window_split(record, windows_per_scan)
+
+    monkeypatch.setattr(prep, "window_split", recording_window_split)
+    samples = build_samples(records, windows_per_scan=1, threshold_percent=None)
+    assert holding == [[True, True, True], [False, True, True], [False, False, True]]
+    assert [r.sessions for r in records] == [[], [], []]
+    assert len(samples) == 6
+
+
 # file formats -------------------------------------------------------------------
 
 
@@ -506,6 +524,20 @@ def test_read_matrix_rejects_csv_values_beyond_float32(tmp_path):
     (tmp_path / "big.csv").write_text("1,2\n3,1e39\n")
     with pytest.raises(DataError, match="row 2, column 2"):
         read_matrix(tmp_path / "big.csv")
+
+
+@pytest.mark.parametrize("second_label", [0, 1])
+def test_manifest_rejects_a_repeated_subject_id_before_reading_sessions(tmp_path, monkeypatch,
+                                                                        second_label):
+    write_manifest(tmp_path / "manifest.json", n_nodes=3,
+                   subjects=[{"id": "x", "label": 0, "sessions": ["a.bin"]},
+                             {"id": "y", "label": 1, "sessions": ["a.bin"]},
+                             {"id": "x", "label": second_label, "sessions": ["b.bin"]}])
+    read = []
+    monkeypatch.setattr(prep, "read_matrix", lambda path: read.append(path))
+    with pytest.raises(DataError, match="subject id 'x' is listed 2 times"):
+        load_manifest(tmp_path / "manifest.json")
+    assert read == []
 
 
 def test_manifest_rejects_ragged_sessions(tmp_path):
