@@ -174,9 +174,22 @@ def _results_grid(args) -> HyperGrid:
     return replace(grid, **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _check_out_dir(path: Path) -> None:
+    """Refuse, before any work, an output directory that cannot be made: the
+    path, or its nearest existing ancestor, is not a directory. Nothing is
+    created here, so a run that fails later leaves no directory behind."""
+    for candidate in (path, *path.parents):
+        if candidate.exists():
+            if not candidate.is_dir():
+                raise ConfigError(f"--out {path}: {candidate} exists and is not a directory")
+            return
+
+
 def cmd_run(args) -> int:
     if args.data is None:
         raise ConfigError("run needs --data (or a `data` entry in --config)")
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     config = ExperimentConfig(
         manifest=str(args.data),
         model=args.model,
@@ -194,7 +207,6 @@ def cmd_run(args) -> int:
     document = run_experiment(config)
     if args.no_timestamp:
         document["wall_clock_seconds"] = None
-    out_dir = Path(args.out)
     for report in document["folds"]:
         rows = ["threshold,fpr,tpr"]
         rows += [f"{thr:.10g},{fpr:.10g},{tpr:.10g}" for thr, fpr, tpr in report["roc"]]

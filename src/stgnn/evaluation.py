@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, HarnessError, MetricError
 from .graph import entropy_loss, link_loss
 from .models import ModelSpec, bce_loss, build_model
-from .nn import Adam, Linear
+from .nn import Adam, uniform_fan_in
 from .prep import (SubjectRecord, balance_by_subject, build_samples, load_manifest,
                    stack_samples, window_adjacency, window_correlation)
 
@@ -677,33 +677,47 @@ def baseline_flat_correlation(data, rows: list[dict[str, np.ndarray]], binarize:
                               seed: int = 0) -> list[FoldReport]:
     """L2-regularized logistic regression on flattened correlations of the
     (features, adjacency, labels) stack, trained on each fold's train and val
-    rows and scored on its test rows: exactly the deep models' folds."""
+    rows and scored on its test rows: exactly the deep models' folds.
+
+    All folds train as one model whose weight column f is fold f's: each
+    epoch is one tape over the whole table, and the loss weights each fold's
+    column 1/n on its n train and val rows and 0 on its test rows, so a
+    column's gradient, and with the elementwise Adam its trajectory, is its
+    fold's alone.
+    """
     features, _, labels = data
-    table = flat_correlation_features(features, binarize=binarize)
-    reports = []
+    table = Tensor(flat_correlation_features(features, binarize=binarize))
+    n_rows, n_features = table.shape
+    weights = np.zeros((n_rows, len(rows)), dtype=ad.get_default_dtype())
+    for fold, fold_rows in enumerate(rows):
+        train = np.union1d(fold_rows["train"], fold_rows["val"])
+        weights[train, fold] = 1.0 / len(train)
+    weight = Tensor(np.hstack([uniform_fan_in(derived_rng(seed, 0xBA5E, fold), n_features,
+                                              (n_features, 1)) for fold in range(len(rows))]),
+                    requires_grad=True)
+    bias = Tensor(np.zeros(len(rows)), requires_grad=True)
+    optimizer = Adam([weight, bias], lr=BASELINE_LR, weight_decay=BASELINE_WEIGHT_DECAY)
+
+    def forward() -> Tensor:  # (rows, folds) probabilities
+        return ad.sigmoid(ad.add(ad.matmul(table, weight), bias))
+
+    train_curves = np.empty((BASELINE_EPOCHS, len(rows)))
+    for epoch in range(BASELINE_EPOCHS):
+        losses = bce_loss(forward(), labels[:, None], weights)
+        train_curves[epoch] = losses.numpy()
+        weight.grad = bias.grad = None
+        ad.tsum(losses).backward()
+        optimizer.step()
+    with ad.no_tape():
+        probs = forward().numpy()
     hyper = {"estimator": "logistic", "lr": BASELINE_LR,
              "weight_decay": BASELINE_WEIGHT_DECAY, "epochs": BASELINE_EPOCHS,
              "binarize": binarize}
+    reports = []
     for fold, fold_rows in enumerate(rows):
-        train = np.union1d(fold_rows["train"], fold_rows["val"])
         test = fold_rows["test"]
-        rng = derived_rng(seed, 0xBA5E, fold)
-        linear = Linear(table.shape[1], 1, rng)
-        optimizer = Adam([linear.weight, linear.bias], lr=BASELINE_LR,
-                         weight_decay=BASELINE_WEIGHT_DECAY)
-        x_train = table[train]
-        y_train = labels[train]
-        train_curve = []
-        for _ in range(BASELINE_EPOCHS):
-            probs = ad.reshape(ad.sigmoid(linear(Tensor(x_train))), (len(y_train),))
-            loss = bce_loss(probs, y_train)
-            train_curve.append(loss.item())
-            linear.zero_grad()
-            loss.backward()
-            optimizer.step()
-        with ad.no_tape():
-            probs = ad.reshape(ad.sigmoid(linear(Tensor(table[test]))), (len(test),))
-        metrics = compute_metrics(probs.numpy(), labels[test])
+        metrics = compute_metrics(probs[test, fold], labels[test])
+        train_curve = train_curves[:, fold].tolist()
         reports.append(FoldReport(
             fold=fold, hyperparameters=dict(hyper), **vars(metrics),
             train_curve=train_curve, val_curve=[], best_epoch=BASELINE_EPOCHS - 1,

@@ -180,11 +180,18 @@ def build_model(spec: ModelSpec, n_nodes: int, input_length: int) -> GraphClassi
     return GraphClassifier(spec, n_nodes, input_length)
 
 
-def bce_loss(probabilities: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy with probabilities clamped away from {0, 1}."""
+def bce_loss(probabilities: Tensor, labels, weights: np.ndarray | None = None) -> Tensor:
+    """Mean binary cross-entropy with probabilities clamped away from {0, 1}.
+
+    With (rows, columns) ``weights`` it is instead each column's weighted sum
+    over the rows, one loss per column: a column whose weights are 1/n on n
+    rows and 0 elsewhere holds the mean loss over those n rows.
+    """
     p = ad.clip(probabilities, 1e-7, 1.0 - 1e-7)
     y = ad.as_tensor(labels, like=p)
     positive = ad.mul(y, ad.log(p))
     negative = ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, p)))
-    return ad.neg(ad.tmean(ad.add(positive, negative)))
+    if weights is None:
+        return ad.neg(ad.tmean(ad.add(positive, negative)))
+    return ad.neg(ad.tsum(ad.mul(ad.add(positive, negative), weights), axis=0))
 

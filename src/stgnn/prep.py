@@ -244,7 +244,11 @@ def _read_header(fh, fmt: str, path: Path) -> tuple:
 def read_matrix(path: Path) -> np.ndarray:
     """Read a binary or CSV timeseries matrix; every cell must be finite."""
     path = Path(path)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise DataError(f"cannot read session file {path}: {exc.strerror}") from None
+    with fh:
         binary = fh.read(4) == MAGIC
         if binary:
             version, = _read_header(fh, "<H", path)

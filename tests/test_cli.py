@@ -162,6 +162,39 @@ def test_run_rejects_ragged_sessions_with_error_json(tmp_path, capsys):
     assert "s1.csv: 12 timesteps, but s0.csv has 16" in err["message"]
 
 
+@pytest.mark.parametrize("session", ["missing", "directory"])
+def test_run_reports_an_unreadable_session_file_with_one_error_json_line(tmp_path, capsys,
+                                                                        session):
+    manifest = _csv_dataset(tmp_path, [16, 16])
+    (tmp_path / "s1.csv").unlink()
+    if session == "directory":
+        (tmp_path / "s1.csv").mkdir()
+    code = run_cli("run", "--data", manifest, "--model", "logreg", "--folds", 2,
+                   "--out", tmp_path / "out")
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1 and "Traceback" not in captured
+    err = json.loads(captured)
+    assert err["error"] == "DataError"
+    assert "cannot read session file" in err["message"] and "s1.csv" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_run_refuses_an_out_path_at_or_under_a_file_before_reading_data(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("kept\n")
+    # the manifest does not exist either: the --out check must come first
+    code = run_cli("run", "--data", tmp_path / "nope.json", "--model", "logreg",
+                   "--out", tmp_path / out)
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1
+    err = json.loads(captured)
+    assert err["error"] == "ConfigError"
+    assert f"{tmp_path / 'taken'} exists and is not a directory" in err["message"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("document, message", [
     ('{"version": 1, "n_nodes": "abc", "subjects": []}', "n_nodes must be a positive integer"),
     ('{"version": 1, "n_nodes": 3, "subjects": 5}', "subjects must be a list"),

@@ -16,13 +16,15 @@ from hypothesis import given, settings, strategies as st
 from stgnn.errors import ConfigError, HarnessError, MetricError
 from stgnn import autodiff as ad
 from stgnn import evaluation, prep
+from stgnn.autodiff import Tensor
 from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
                               assert_no_leakage, baseline_flat_correlation,
-                              compute_metrics, default_batch_size, derived_seed,
+                              compute_metrics, default_batch_size, derived_rng, derived_seed,
                               flat_correlation_features, plan_folds, run_experiment,
                               select_grid_winner, train_classifier, GridRecord,
                               TrainOutcome, TrainSettings)
 from stgnn.models import ModelSpec, bce_loss, build_model
+from stgnn.nn import Adam, Linear
 from stgnn.prep import prepare_graph_samples, stack_samples
 from stgnn.synth import SynthConfig, generate, generate_dataset
 
@@ -416,8 +418,8 @@ def test_baseline_scores_each_test_fold_without_a_tape(monkeypatch):
     features, adjacency, labels, subjects = synth_stack(n_subjects=8)
     baseline_flat_correlation((features, adjacency, labels), fold_rows(subjects, labels, k=2),
                               binarize=False)
-    fold = [True] * evaluation.BASELINE_EPOCHS + [False]  # train every epoch, then score
-    assert taped == fold * 2
+    # every fold trains in each epoch's one tape, then one untaped pass scores them all
+    assert taped == [True] * evaluation.BASELINE_EPOCHS + [False]
 
 
 def test_failed_training_records_epoch_and_batch_start(monkeypatch):
@@ -476,6 +478,89 @@ def test_flat_features_binarized_are_binary():
     table = flat_correlation_features(features, binarize=True)
     assert set(np.unique(table)) <= {0.0, 1.0}
     assert table.shape[1] == 15 * 14 // 2
+
+
+def per_fold_baseline(data, rows, binarize: bool, seed: int = 0):
+    """The baseline trained one fold at a time, each on its own copy of its
+    train and val rows: the reference for the batched baseline. Returns each
+    fold's train curve and metrics."""
+    features, _, labels = data
+    table = flat_correlation_features(features, binarize=binarize)
+    folds = []
+    for fold, fold_rows in enumerate(rows):
+        train = np.union1d(fold_rows["train"], fold_rows["val"])
+        test = fold_rows["test"]
+        linear = Linear(table.shape[1], 1, derived_rng(seed, 0xBA5E, fold))
+        optimizer = Adam([linear.weight, linear.bias], lr=evaluation.BASELINE_LR,
+                         weight_decay=evaluation.BASELINE_WEIGHT_DECAY)
+        x_train, y_train = Tensor(table[train]), labels[train]
+        curve = []
+        for _ in range(evaluation.BASELINE_EPOCHS):
+            probs = ad.reshape(ad.sigmoid(linear(x_train)), (len(train),))
+            loss = bce_loss(probs, y_train)
+            curve.append(loss.item())
+            linear.zero_grad()
+            loss.backward()
+            optimizer.step()
+        with ad.no_tape():
+            scores = ad.sigmoid(linear(Tensor(table[test]))).numpy()[:, 0]
+        folds.append((curve, compute_metrics(scores, labels[test])))
+    return folds
+
+
+@pytest.mark.parametrize("binarize", [False, True])
+@pytest.mark.parametrize("k", [2, 5])
+def test_batched_baseline_agrees_with_one_model_per_fold_in_f64(k, binarize):
+    with ad.default_dtype("f64"):
+        features, adjacency, labels, subjects = synth_stack(n_subjects=20, effect=0.5)
+        rows = fold_rows(subjects, labels, k=k, seed=2)
+        reports = baseline_flat_correlation((features, adjacency, labels), rows,
+                                            binarize=binarize, seed=3)
+        reference = per_fold_baseline((features, adjacency, labels), rows, binarize, seed=3)
+    assert len(reports) == k
+    for report, (curve, metrics) in zip(reports, reference):
+        np.testing.assert_allclose(report.train_curve, curve, rtol=1e-12, atol=0)
+        assert (report.auc, report.sensitivity, report.specificity) == \
+            (metrics.auc, metrics.sensitivity, metrics.specificity)
+
+
+def test_batched_baseline_fold_ignores_its_test_labels(monkeypatch):
+    """Fold 0's column shares each epoch's GEMM with the other folds, whose
+    training rows hold its test rows: flipping those labels moves the other
+    folds but leaves fold 0's train curve and test scores bit for bit."""
+    scored = []
+    compute = evaluation.compute_metrics
+
+    def recording_compute_metrics(scores, labels):
+        scored.append(np.array(scores))
+        return compute(scores, labels)
+
+    monkeypatch.setattr(evaluation, "compute_metrics", recording_compute_metrics)
+    features, adjacency, labels, subjects = synth_stack(n_subjects=12)
+    rows = fold_rows(subjects, labels, k=3)
+    flipped = labels.copy()
+    flipped[rows[0]["test"]] = 1 - flipped[rows[0]["test"]]
+    runs = []
+    for run_labels in (labels, flipped):
+        scored.clear()
+        runs.append((baseline_flat_correlation((features, adjacency, run_labels), rows,
+                                               binarize=False), list(scored)))
+    (plain, plain_scores), (flip, flip_scores) = runs
+    assert plain[0].train_curve == flip[0].train_curve
+    assert plain_scores[0].dtype == np.float32
+    assert plain_scores[0].tobytes() == flip_scores[0].tobytes()
+    assert plain[1].train_curve != flip[1].train_curve  # the flipped rows train fold 1
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_baseline_steps_adam_once_per_epoch_for_any_fold_count(k, monkeypatch):
+    steps = []
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self: (steps.append(None), step(self)))
+    features, adjacency, labels, subjects = synth_stack(n_subjects=10)
+    baseline_flat_correlation((features, adjacency, labels), fold_rows(subjects, labels, k=k),
+                              binarize=False)
+    assert len(steps) == evaluation.BASELINE_EPOCHS
 
 
 def test_baseline_separates_covariance_signal():
