@@ -85,7 +85,7 @@ def compare(expected: dict, actual: dict) -> tuple[bool, str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("usage: python tests/golden/agree.py a.json b.json", file=sys.stderr)
         return 2
     agree, report = compare(*(json.loads(Path(path).read_text()) for path in argv))
     print(report)
