@@ -24,7 +24,7 @@ from stgnn import autodiff as ad  # noqa: E402
 from stgnn.evaluation import ExperimentConfig, HyperGrid, run_experiment  # noqa: E402
 from stgnn.synth import SynthConfig, generate_dataset  # noqa: E402
 
-MODELS = ("mean_CNN", "mean_CNN_GCN5", "logreg", "logreg_bin")
+MODELS = ("mean_CNN", "mean_CNN_GCN5", "mean_TCN", "diff5_TCN", "logreg", "logreg_bin")
 DATA = SynthConfig(n_subjects=12, n_nodes=12, session_length=64, n_sessions=4, seed=19)
 # two learning rates, so each fold's selection has a choice to make
 GRID = HyperGrid(dropouts=(0.0,), learning_rates=(1e-2, 1e-3), weight_decays=(0.0,),
