@@ -4,10 +4,12 @@ Results are computed eagerly while a tape of backward closures is recorded
 on the output tensors; ``Tensor.backward()`` replays the tape in reverse
 topological order and consumes it as it goes. ``conv_bn_relu`` is a CNN
 encoder block as one op whose node keeps only its output and two floats per
-channel: its backward recomputes the conv from the block input. A forward
-that nothing will differentiate runs under ``no_tape()``. Training runs
-in float32; switch to float64 (see ``default_dtype``) when comparing
-analytic gradients against central finite differences.
+channel: its backward recomputes the conv from the block input.
+``temporal_block`` is a TCN residual block as one op whose node keeps its
+output and two bool masks. A forward that nothing will differentiate runs
+under ``no_tape()``. Training runs in float32; switch to float64 (see
+``default_dtype``) when comparing analytic gradients against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -444,16 +446,27 @@ def softmax_rows(a) -> Tensor:
     return _make(data, (a,), backward_fn)
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
-    """Inverted-scaling dropout; identity when ``train`` is off or rate is 0."""
-    a = as_tensor(a)
+def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+               train: bool) -> np.ndarray | None:
+    """Dropout's keep mask over ``shape``, True where a value survives, from one
+    uniform draw per value in C order; None when dropout is the identity (``train``
+    off or rate 0), which draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1); got {rate}")
     if not train or rate == 0.0:
-        return a
+        return None
     if rng is None:
         raise ContractError("dropout in train mode needs a random generator")
-    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
+    return rng.random(shape) >= rate
+
+
+def dropout(a, rate: float, rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
+    """Inverted-scaling dropout; identity when ``train`` is off or rate is 0."""
+    a = as_tensor(a)
+    keep = _keep_mask(a.data.shape, rate, rng, train)
+    if keep is None:
+        return a
+    keep = keep.astype(a.data.dtype)
     keep /= np.asarray(1.0 - rate, dtype=a.data.dtype)
 
     def backward_fn(g):
@@ -515,7 +528,7 @@ def _columns(xt: np.ndarray, taps, stride: int, t0: int, t1: int, block: np.ndar
         block[:, k, lo:hi] = xt[:, i::stride][:, :hi - lo]
 
 
-def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: bool):
+def _conv_forward(x, weight, bias, stride: int, padding: int, dilation: int, causal: bool):
     """Validate a conv1d call and run its GEMMs: the time-major (C_out, L_out, B)
     result, the tape parents (x, weight[, bias]), and the ``_taps``."""
     x = as_tensor(x)
@@ -530,12 +543,10 @@ def _conv_forward(x, weight, bias, stride: int, padding, dilation: int, causal: 
         raise ContractError("kernel, stride and dilation must all be >= 1")
     if causal:
         pad_left, pad_right = (kernel - 1) * dilation, 0
-    elif isinstance(padding, tuple):
-        pad_left, pad_right = padding
+    elif padding < 0:
+        raise ContractError(f"conv1d padding must be non-negative; got {padding}")
     else:
         pad_left = pad_right = int(padding)
-    if pad_left < 0 or pad_right < 0:
-        raise ContractError(f"conv1d padding must be non-negative; got ({pad_left}, {pad_right})")
     l_out = conv_output_length(length, kernel, stride, pad_left + pad_right, dilation)
     if l_out <= 0:
         raise GeometryError(f"conv1d output length {l_out} for L={length}, K={kernel}, "
@@ -592,13 +603,13 @@ def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps, stride: int
         _accumulate(x, grad.transpose(2, 0, 1), fresh=True)
 
 
-def conv1d(x, weight, bias=None, stride: int = 1, padding=0, dilation: int = 1,
+def conv1d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: int = 1,
            causal: bool = False) -> Tensor:
     """1D convolution over (batch, channels, length) input.
 
-    ``padding`` is symmetric when an int, or an explicit (left, right) pair.
-    ``causal=True`` overrides it with a left-only pad of (kernel-1)*dilation,
-    so output position t never sees inputs mapped after t.
+    ``padding`` zeros are added at each end. ``causal=True`` overrides it with
+    a left-only pad of (kernel-1)*dilation, so output position t never sees
+    inputs mapped after t.
 
     The work runs time-major: the output is a (B, C_out, L_out) view of a
     (C_out, L_out, B) array, so each (channel, step) row holds B contiguous
@@ -771,6 +782,45 @@ def conv_bn_relu(x, weight, bias, gamma, beta, running_mean: np.ndarray,
             _accumulate(conv_parents[2], np.zeros_like(conv_parents[2].data), fresh=True)
 
     return _make(conv.transpose(2, 0, 1), conv_parents + (gamma, beta), backward_fn)
+
+
+def temporal_block(x, weight, bias, down_weight, down_bias, dilation: int, rate: float,
+                   rng: np.random.Generator | None, train: bool, stride: int = 1) -> Tensor:
+    """A TCN residual block, ``relu(add(dropout(relu(conv1d(x, weight, bias, stride,
+    dilation=dilation, causal=True)), rate, rng, train), conv1d(x, down_weight, down_bias,
+    stride)))``, as one tape op, bit-for-bit: the same arithmetic in the same order, run
+    in place on the time-major causal conv result, which becomes the block output. The
+    keep mask is drawn as ``dropout`` draws it, so the generator advances alike. The node
+    keeps the output, a bool mask of ``conv > 0`` and, only when dropout is on, the bool
+    keep mask: one byte per value for each mask, where the separate ops keep five float
+    activations. Its backward masks ``g`` in place by ``output > 0`` for the 1x1 ``down``
+    conv's backward, then by the keep mask, the dropout scale and the conv mask for the
+    causal conv's; nothing is recomputed. Both convs are ``conv1d``'s."""
+    out, conv_parents, taps = _conv_forward(x, weight, bias, stride, 0, dilation, True)
+    positive = out > 0
+    np.maximum(out, 0, out=out)
+    keep = _keep_mask((out.shape[2],) + out.shape[:2], rate, rng, train)  # (B, C, L) order
+    if keep is not None:
+        keep = np.ascontiguousarray(keep.transpose(1, 2, 0))
+        scale = np.asarray(1.0, out.dtype) / np.asarray(1.0 - rate, out.dtype)  # as ``dropout``'s
+        out *= keep
+        out *= scale
+    down, down_parents, down_taps = _conv_forward(x, down_weight, down_bias, stride, 0, 1, False)
+    out += down
+    np.maximum(out, 0, out=out)
+
+    def backward_fn(g):
+        # ``g`` is this node's own (see ``Tensor.backward``); a time-major one is not copied
+        g = np.ascontiguousarray(g.transpose(1, 2, 0))
+        g *= out > 0
+        _conv_backward(g, down_parents, down_taps, stride)
+        if keep is not None:
+            g *= keep
+            g *= scale
+        g *= positive
+        _conv_backward(g, conv_parents, taps, stride)
+
+    return _make(out.transpose(2, 0, 1), conv_parents + down_parents[1:], backward_fn)
 
 
 def weight_norm(direction, gain) -> Tensor:

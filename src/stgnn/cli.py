@@ -273,6 +273,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy raises a private subclass; report the public name
+        print(json.dumps({"error": "MemoryError", "message": str(exc)}), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

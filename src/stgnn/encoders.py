@@ -5,7 +5,8 @@ Both variants stack four strided convolutional blocks (channels 1, 8, 16,
 flatten and project to the embedding width. The plain CNN uses symmetric
 padding with batch normalization, each block one ``autodiff.conv_bn_relu``
 tape op; the causal variant uses left-only padding with dilations 1, 2, 4,
-8, weight-normalized filters and a strided 1x1 residual projection per block.
+8, weight-normalized filters and a strided 1x1 residual projection per block,
+each block one ``autodiff.temporal_block`` tape op.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, conv_output_length
 from .errors import ConfigError, GeometryError
-from .nn import BatchNorm1d, Conv1d, Dropout, Linear, Module, WeightNormConv1d
+from .nn import BatchNorm1d, Conv1d, Linear, Module, WeightNormConv1d
 
 CHANNELS = (1, 8, 16, 32, 64)
 KERNEL = 7
@@ -72,20 +73,22 @@ class CnnEncoder(Module):
 
 
 class TemporalBlock(Module):
-    """Weight-normalized causal conv -> relu -> dropout, plus a strided 1x1 skip."""
+    """relu(dropout(relu(weight-normalized causal conv)) + strided 1x1 ``down`` conv),
+    one ``ad.temporal_block`` op over its ``WeightNormConv1d`` and ``Conv1d``. The
+    dropout masks come from the model's generator, which also drew the weights."""
 
     def __init__(self, in_channels: int, out_channels: int, dilation: int,
                  rng: np.random.Generator, dropout: float):
         self.conv = WeightNormConv1d(in_channels, out_channels, KERNEL, rng,
                                      stride=STRIDE, dilation=dilation)
         self.down = Conv1d(in_channels, out_channels, 1, rng, stride=STRIDE)
-        self.drop = Dropout(dropout, rng)
-
-    def main_path(self, x, train: bool) -> Tensor:
-        return self.drop(ad.relu(self.conv(x)), train=train)
+        self.dropout = dropout
+        self.rng = rng
 
     def __call__(self, x, train: bool) -> Tensor:
-        return ad.relu(ad.add(self.main_path(x, train), self.down(x)))
+        return ad.temporal_block(x, self.conv.weight(), self.conv.bias, self.down.weight,
+                                 self.down.bias, self.conv.dilation, self.dropout, self.rng,
+                                 train, self.conv.stride)
 
 
 class TcnEncoder(Module):

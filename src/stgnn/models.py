@@ -128,6 +128,8 @@ class GraphClassifier(Module):
 
     def __init__(self, spec: ModelSpec, n_nodes: int, input_length: int):
         spec.validate()
+        if n_nodes < 1:
+            raise ConfigError(f"a graph needs at least one node; got {n_nodes}")
         self.spec = spec
         self.n_nodes = n_nodes
         self.input_length = input_length

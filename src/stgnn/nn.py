@@ -98,7 +98,8 @@ CONV_WEIGHT_STD = 0.01
 
 
 class Conv1d(Module):
-    """1D convolution layer; weights drawn from N(0, 0.01^2), zero bias."""
+    """Parameters of a 1D convolution: weights drawn from N(0, 0.01^2), zero bias.
+    The encoder block that owns it runs the convolution inside its fused op."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, stride: int = 1, padding: int = 0):
@@ -109,12 +110,10 @@ class Conv1d(Module):
         self.stride = stride
         self.padding = padding
 
-    def __call__(self, x) -> Tensor:
-        return ad.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
 
 class WeightNormConv1d(Module):
-    """Causal convolution whose weight is gain * direction / ||direction|| per filter.
+    """Parameters of a causal convolution whose weight is gain * direction /
+    ||direction|| per filter.
 
     The gain starts at the direction's norm so the initial effective weight
     equals the raw N(0, 0.01^2) draw.
@@ -129,10 +128,9 @@ class WeightNormConv1d(Module):
         self.stride = stride
         self.dilation = dilation
 
-    def __call__(self, x) -> Tensor:
-        w = ad.weight_norm(self.direction, self.gain)
-        return ad.conv1d(x, w, self.bias, stride=self.stride, dilation=self.dilation,
-                         causal=True)
+    def weight(self) -> Tensor:
+        """The effective weight, taped back to the direction and the gain."""
+        return ad.weight_norm(self.direction, self.gain)
 
 
 class BatchNorm1d(Module):

@@ -141,13 +141,10 @@ def conv_cases(draw):
     kernel = draw(st.integers(1, 4))
     stride = draw(st.integers(1, 3))
     dilation = draw(st.integers(1, 4))
-    mode = draw(st.sampled_from(["int", "tuple", "causal"]))
+    mode = draw(st.sampled_from(["int", "causal"]))
     if mode == "int":
-        padding = draw(st.integers(0, 3))
+        padding = draw(st.integers(0, 4))
         pads = (padding, padding)
-    elif mode == "tuple":
-        padding = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
-        pads = padding
     else:
         padding = 0
         pads = ((kernel - 1) * dilation, 0)
@@ -247,7 +244,7 @@ def test_conv1d_transposed_view_input_matches_contiguous(case):
 
 def test_conv1d_rejects_negative_padding():
     with pytest.raises(ContractError):
-        ad.conv1d(Tensor(np.zeros((1, 1, 8))), Tensor(np.zeros((1, 1, 3))), padding=(-1, 2))
+        ad.conv1d(Tensor(np.zeros((1, 1, 8))), Tensor(np.zeros((1, 1, 3))), padding=-1)
 
 
 # batchnorm ---------------------------------------------------------------------

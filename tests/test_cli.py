@@ -71,6 +71,21 @@ def test_params_rejects_unknown_model(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("nodes", [0, -5])
+def test_params_rejects_a_graph_without_nodes(capsys, nodes):
+    assert run_cli("params", "--model", "mean_CNN", "--nodes", nodes) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_params_that_cannot_be_allocated_end_in_one_error_json_line(capsys):
+    # the projection weight alone would take petabytes, beyond any address space,
+    # so the allocation fails at once on every machine
+    assert run_cli("params", "--model", "mean_CNN", "--length", 10**12) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "MemoryError"
+
+
 def test_run_writes_results_and_roc(dataset, tmp_path, capsys):
     out = tmp_path / "run1"
     code = run_cli("run", "--data", dataset, "--model", "mean_CNN", "--threshold", 20,

@@ -1,6 +1,7 @@
 """Temporal encoders: geometry, causality, batch independence, gradients."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gradcheck import TOLERANCE, gradcheck, random_projection_loss
 
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
-from stgnn.encoders import CnnEncoder, TcnEncoder, encoder_lengths
+from stgnn.encoders import CnnEncoder, TcnEncoder, TemporalBlock, encoder_lengths
 from stgnn.errors import GeometryError
 from stgnn.models import ModelSpec, bce_loss, build_model
 from stgnn.nn import Adam
@@ -150,11 +151,11 @@ def composed_block_activations(self, x, train: bool = False):
     return acts
 
 
-def training_step_state(name, dtype, steps=2):
+def training_step_state(name, dtype, steps=2, dropout=0.0):
     """Gradients, running buffers and eval scores after each of a few Adam steps."""
     rng = np.random.default_rng(5)
     with ad.default_dtype(dtype):
-        model = build_model(ModelSpec.from_name(name, seed=2), 6, 64)
+        model = build_model(replace(ModelSpec.from_name(name, seed=2), dropout=dropout), 6, 64)
         optimizer = Adam(model.parameters(), lr=1e-2)
         states = []
         for _ in range(steps):
@@ -227,3 +228,86 @@ def test_fused_blocks_hold_about_a_third_of_the_three_ops_tape(monkeypatch):
     composed_held, composed_peak = measure()
     assert fused_held <= 0.4 * composed_held
     assert fused_peak <= 0.8 * composed_peak
+
+
+# the fused TCN block op against the six ops it replaces ----------------------------
+
+
+def composed_temporal_block(self, x, train: bool):
+    """``TemporalBlock.__call__`` as separate conv1d, relu, dropout, conv1d, add and
+    relu ops, drawing the dropout mask from the same generator."""
+    conv, down = self.conv, self.down
+    h = ad.conv1d(x, conv.weight(), conv.bias, stride=conv.stride, dilation=conv.dilation,
+                  causal=True)
+    h = ad.dropout(ad.relu(h), self.dropout, rng=self.rng, train=train)
+    return ad.relu(ad.add(h, ad.conv1d(x, down.weight, down.bias, stride=down.stride)))
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("name", ["mean_TCN", "diff5_TCN"])
+def test_fused_temporal_blocks_train_bit_for_bit_like_the_six_ops(name, dtype, dropout,
+                                                                   monkeypatch):
+    # the scores come from eval mode; with dropout on, the head's masks are drawn after
+    # the blocks', so a block that advanced the generator differently changes them too
+    fused = training_step_state(name, dtype, dropout=dropout)
+    monkeypatch.setattr(TemporalBlock, "__call__", composed_temporal_block)
+    assert training_step_state(name, dtype, dropout=dropout) == fused
+
+
+def test_temporal_block_gradients_with_dropout():
+    with ad.default_dtype("f64"):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = Tensor(rng.normal(size=(2, 3, 16)), requires_grad=True)
+            weight = Tensor(rng.normal(size=(4, 3, 7)), requires_grad=True)
+            down = Tensor(rng.normal(size=(4, 3, 1)), requires_grad=True)
+            bias, down_bias = (Tensor(rng.normal(size=4), requires_grad=True) for _ in "ab")
+
+            def block():  # a fresh generator per call, so every evaluation drops alike
+                return ad.temporal_block(x, weight, bias, down, down_bias, 2, 0.4,
+                                         np.random.default_rng(seed + 1), True, 2)
+
+            loss_fn = random_projection_loss(block, rng)
+            assert gradcheck(loss_fn, [x, weight, bias, down, down_bias]) < TOLERANCE
+
+
+def tape_tensors(loss: Tensor) -> int:
+    """Tensors a backward pass from ``loss`` would reach, leaves included."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_fused_temporal_blocks_hold_under_a_third_of_the_six_ops_tape(monkeypatch):
+    # each block keeps its output and a one-byte mask per value (0.30 held); the six
+    # ops keep five float activations, so a block that also kept its conv output
+    # (0.44 held) fails the bound; and the tape holds four tensors fewer per block
+    features = np.random.default_rng(0).normal(size=(8, 6, 256)).astype(np.float32)
+    labels = np.arange(8) % 2
+
+    def model():
+        return build_model(ModelSpec.from_name("mean_TCN", seed=1), 6, 256)
+
+    def count():
+        return tape_tensors(bce_loss(model()(features, None, train=True)[0], labels))
+
+    fused_held, _ = traced_step_bytes(model(), features, labels)
+    fused_tensors = count()
+    monkeypatch.setattr(TemporalBlock, "__call__", composed_temporal_block)
+    composed_held, _ = traced_step_bytes(model(), features, labels)
+    assert fused_held <= 0.35 * composed_held
+    assert count() - fused_tensors == 4 * 4
+
+
+def test_tcn_encoder_state_names_are_its_modules():
+    # the fused op reads parameters from each block's WeightNormConv1d and Conv1d
+    enc = TcnEncoder(64, np.random.default_rng(0))
+    assert set(enc.state_dict()) == (
+        {f"blocks.{i}.conv.{name}" for i in range(4) for name in ("direction", "gain", "bias")}
+        | {f"blocks.{i}.down.{name}" for i in range(4) for name in ("weight", "bias")}
+        | {"project.weight", "project.bias"})
