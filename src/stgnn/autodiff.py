@@ -792,8 +792,7 @@ def temporal_block(x, weight, bias, down_weight, down_bias, dilation: int, rate:
     in place on the time-major causal conv result, which becomes the block output. The
     keep mask is drawn as ``dropout`` draws it, so the generator advances alike. The node
     keeps the output, a bool mask of ``conv > 0`` and, only when dropout is on, the bool
-    keep mask: one byte per value for each mask, where the separate ops keep five float
-    activations. Its backward masks ``g`` in place by ``output > 0`` for the 1x1 ``down``
+    keep mask. Its backward masks ``g`` in place by ``output > 0`` for the 1x1 ``down``
     conv's backward, then by the keep mask, the dropout scale and the conv mask for the
     causal conv's; nothing is recomputed. Both convs are ``conv1d``'s."""
     out, conv_parents, taps = _conv_forward(x, weight, bias, stride, 0, dilation, True)
