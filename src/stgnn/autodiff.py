@@ -483,20 +483,23 @@ def conv_output_length(length: int, kernel: int, stride: int, pad_total: int, di
 
 
 def _taps(length: int, kernel: int, stride: int, dilation: int, pad_left: int, l_out: int):
-    """For each kernel tap: the input step that output step 0 reads through it, and the
-    output steps [first, stop) that read real input through it (none if only padding)."""
+    """For each kernel tap k that reads real input: k, the input step that output step 0
+    reads through it, and the output steps [first, stop) that read real input through
+    it. A tap that reads only padding adds nothing, so it gets no columns and no GEMM."""
     for k in range(kernel):
         offset = k * dilation - pad_left
         first = max(0, -(offset // stride))
-        yield offset, first, max(first, min(l_out, (length - 1 - offset) // stride + 1))
+        stop = min(l_out, (length - 1 - offset) // stride + 1)
+        if stop > first:
+            yield k, offset, first, stop
 
 
 def _tap_spans(taps, stride: int, t0: int, t1: int):
-    """For each tap k of output steps [t0, t1): k, the chunk steps [lo, hi) that read
-    real input through it, and the input step that chunk step ``lo`` reads."""
-    for k, (offset, first, stop) in enumerate(taps):
+    """For the j-th of ``taps`` over output steps [t0, t1): j, the chunk steps [lo, hi)
+    that read real input through it, and the input step that chunk step ``lo`` reads."""
+    for j, (_, offset, first, stop) in enumerate(taps):
         a, b = min(max(first, t0), t1), min(max(stop, t0), t1)
-        yield k, a - t0, b - t0, a * stride + offset
+        yield j, a - t0, b - t0, a * stride + offset
 
 
 _CHUNK = 1 << 20  # column elements per output-time chunk: 4 MB of f32, built and used in cache
@@ -508,24 +511,27 @@ def _scratch(size: int, dtype) -> np.ndarray:
     return np.empty(size, dtype)
 
 
-def _chunks(c_in: int, kernel: int, batch: int, l_out: int, dtype):
+def _chunks(c_in: int, kernel: int, live: int, batch: int, l_out: int, dtype):
     """Yield (t0, t1, block) for the output-time chunks [t0, t1) of a conv, each with a
-    (C_in, K, t1-t0, B) view of one scratch array of about ``_CHUNK`` elements. Last chunk
-    first, so every input step's gradient adds its taps in ascending order."""
+    (C_in, live, t1-t0, B) view of one scratch array for the ``live`` taps that read real
+    input. The chunk length is set by the full ``kernel``, so skipping taps moves no chunk
+    boundary and no sum. Last chunk first, so every input step's gradient adds its taps
+    in ascending order."""
     step = max(1, _CHUNK // (c_in * kernel * batch))
-    flat = _scratch(c_in * kernel * min(step, l_out) * batch, dtype)
+    flat = _scratch(c_in * live * min(step, l_out) * batch, dtype)
     for t0 in reversed(range(0, l_out, step)):
         t1 = min(t0 + step, l_out)
-        yield t0, t1, flat[:c_in * kernel * (t1 - t0) * batch].reshape(c_in, kernel, -1, batch)
+        yield t0, t1, flat[:c_in * live * (t1 - t0) * batch].reshape(c_in, live, t1 - t0, batch)
 
 
 def _columns(xt: np.ndarray, taps, stride: int, t0: int, t1: int, block: np.ndarray) -> None:
-    """Fill ``block`` with the columns of output steps [t0, t1) of time-major (C_in, L, B)
-    input, zero where a tap reads padding: each tap copies whole B-long input rows."""
-    for k, lo, hi, i in _tap_spans(taps, stride, t0, t1):
-        block[:, k, :lo] = 0
-        block[:, k, hi:] = 0
-        block[:, k, lo:hi] = xt[:, i::stride][:, :hi - lo]
+    """Fill ``block`` with the columns of ``taps`` for output steps [t0, t1) of time-major
+    (C_in, L, B) input, zero where a tap reads padding: each tap copies whole B-long input
+    rows."""
+    for j, lo, hi, i in _tap_spans(taps, stride, t0, t1):
+        block[:, j, :lo] = 0
+        block[:, j, hi:] = 0
+        block[:, j, lo:hi] = xt[:, i::stride][:, :hi - lo]
 
 
 def _conv_forward(x, weight, bias, stride: int, padding: int, dilation: int, causal: bool):
@@ -558,12 +564,12 @@ def _conv_forward(x, weight, bias, stride: int, padding: int, dilation: int, cau
             raise ShapeError(f"conv1d bias must have shape ({c_out},)")
     taps = list(_taps(length, kernel, stride, dilation, pad_left, l_out))
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 0))  # no copy for a conv output
-    w2 = weight.data.reshape(c_out, c_in * kernel)
+    w2 = weight.data[:, :, [k for k, *_ in taps]].reshape(c_out, -1)
     out = np.empty((c_out, l_out * batch), np.result_type(w2, xt))
-    for t0, t1, block in _chunks(c_in, kernel, batch, l_out, out.dtype):
+    for t0, t1, block in _chunks(c_in, kernel, len(taps), batch, l_out, out.dtype):
         _columns(xt, taps, stride, t0, t1, block)
         rows = out[:, t0 * batch:t1 * batch]
-        np.matmul(w2, block.reshape(c_in * kernel, -1), out=rows)
+        np.matmul(w2, block.reshape(-1, (t1 - t0) * batch), out=rows)
         if bias is not None:
             rows += parents[2].data[:, None]
     return out.reshape(c_out, l_out, batch), parents, taps
@@ -581,24 +587,27 @@ def _conv_backward(g: np.ndarray, parents: tuple[Tensor, ...], taps, stride: int
     g2 = np.ascontiguousarray(g).reshape(c_out, l_out * batch)
     if bias and bias[0].requires_grad:
         _accumulate(bias[0], g2.sum(axis=1), fresh=True)
-    w2 = weight.data.reshape(c_out, c_in * kernel)
+    live = [k for k, *_ in taps]
+    w2 = weight.data[:, :, live].reshape(c_out, -1)
     if weight.requires_grad:
         xt = np.ascontiguousarray(x.data.transpose(1, 2, 0))
         grad_w = np.zeros(w2.shape, g2.dtype)
     if x.requires_grad:
         grad = np.zeros((c_in, length, batch), g2.dtype)
-    for t0, t1, block in _chunks(c_in, kernel, batch, l_out, g2.dtype):
+    for t0, t1, block in _chunks(c_in, kernel, len(live), batch, l_out, g2.dtype):
         g_chunk = g2[:, t0 * batch:t1 * batch]
-        cols = block.reshape(c_in * kernel, -1)
+        cols = block.reshape(-1, (t1 - t0) * batch)
         if weight.requires_grad:
             _columns(xt, taps, stride, t0, t1, block)
             grad_w += g_chunk @ cols.T
         if x.requires_grad:
             np.matmul(w2.T, g_chunk, out=cols)  # ``spread`` replaces the columns
-            for k, lo, hi, i in _tap_spans(taps, stride, t0, t1):
-                grad[:, i::stride][:, :hi - lo] += block[:, k, lo:hi]
+            for j, lo, hi, i in _tap_spans(taps, stride, t0, t1):
+                grad[:, i::stride][:, :hi - lo] += block[:, j, lo:hi]
     if weight.requires_grad:
-        _accumulate(weight, grad_w.reshape(weight.data.shape), fresh=True)
+        full = np.zeros(weight.data.shape, g2.dtype)  # a tap that reads only padding gets 0
+        full[:, :, live] = grad_w.reshape(c_out, c_in, len(live))
+        _accumulate(weight, full, fresh=True)
     if x.requires_grad:
         _accumulate(x, grad.transpose(2, 0, 1), fresh=True)
 
@@ -615,7 +624,8 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: in
     (C_out, L_out, B) array, so each (channel, step) row holds B contiguous
     samples and a following per-channel reduction reads contiguous memory.
     Each pass runs over chunks of output steps, one GEMM per chunk against its
-    (C_in*K, steps*B) columns (zero where a tap reads padding); a chunk's
+    (C_in*K, steps*B) columns (zero where a tap reads padding; a tap that reads
+    only padding has no columns and its weight gradient is 0); a chunk's
     columns and the backward's ``spread`` (Wᵀ g) share one cache-sized array.
     """
     out, parents, taps = _conv_forward(x, weight, bias, stride, padding, dilation, causal)

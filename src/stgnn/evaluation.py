@@ -9,6 +9,7 @@ can appear on both sides of any split.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import multiprocessing
 import os
@@ -438,6 +439,29 @@ def _permute_subject_labels(records: list[SubjectRecord], seed: int) -> None:
         record.label = label
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20  # the ceiling of glibc's own dynamic mmap threshold on 64-bit
+
+
+def _keep_heap() -> None:
+    """Set glibc's allocator policy for a training process: arrays up to 32 MiB come
+    from the heap, and the heap is never trimmed. Each step frees its tape at the top
+    of the heap; trimmed, the next step would fault those pages back in. Both values
+    are set because setting either one turns off glibc's dynamic thresholds, and trim
+    alone would pin the mmap threshold at 128 KB. Where there is no ``mallopt`` (not
+    glibc) this does nothing. The policy moves where arrays live, not what they hold."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, -1)
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the full protocol and return the results document."""
     start_time = time.perf_counter()
@@ -470,6 +494,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if (config.link_weight or config.entropy_weight) and (spec is None or spec.pooling == "mean"):
         raise ConfigError(f"aux link and entropy weights apply only to DiffPool models; "
                           f"{config.model} has no pooling terms")
+    _keep_heap()
     records = load_manifest(config.manifest)
     records = balance_by_subject(records, seed=derived_seed(config.seed, 0xBA1A))
     if config.permute_labels:
@@ -570,7 +595,8 @@ def _install_grid_context(data, rows, spec: ModelSpec, config: ExperimentConfig,
                           dtype_name: str) -> None:
     """Hand a process everything its trainings read, once: the one sample
     stack and each fold's row indices. Pool workers run this as their
-    initializer, so tasks carry only (fold, index)."""
+    initializer, so tasks carry only (fold, index), and set the training heap policy."""
+    _keep_heap()
     ad.set_default_dtype(dtype_name)
     _grid_context.update(data=data, rows=rows, spec=spec, config=config)
 

@@ -311,3 +311,25 @@ def test_tcn_encoder_state_names_are_its_modules():
         {f"blocks.{i}.conv.{name}" for i in range(4) for name in ("direction", "gain", "bias")}
         | {f"blocks.{i}.down.{name}" for i in range(4) for name in ("weight", "bias")}
         | {"project.weight", "project.bias"})
+
+
+def test_tcn_block_4_builds_columns_only_for_taps_that_read_input(monkeypatch):
+    """At T=160 block 4's causal conv (input length 20, dilation 8, left pad 48) reads
+    only padding through its first four taps, so each of its passes builds columns for
+    the other three: its scratch is 3/7 of the full kernel's."""
+    sizes = []
+
+    def scratch(size, dtype):
+        sizes.append(size)
+        return np.empty(size, dtype)
+
+    monkeypatch.setattr(ad, "_scratch", scratch)
+    batch = 4
+    enc = TcnEncoder(160, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(batch, 1, 160)))
+    ad.tsum(enc(x, train=True)).backward()
+    full = 32 * 7 * enc.lengths[3] * batch
+    # each block's causal conv, then its 1x1 down conv; the backward runs them in reverse
+    forward, backward = sizes[:8], sizes[8:]
+    assert forward[6] == backward[1] == full * 3 // 7
+    assert forward[4] == backward[3] == 16 * 7 * enc.lengths[2] * batch  # block 3: all 7 taps

@@ -4,10 +4,14 @@ import contextlib
 import io
 import os
 import pickle
+import platform
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -846,6 +850,69 @@ def test_spawned_workers_share_the_cores_as_blas_threads(monkeypatch):
     share = str(max(1, len(os.sched_getaffinity(0)) // 2))
     assert seen == [share, share, "3"]
     assert dict(os.environ) == before
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SECOND_RUN_FAULTS = """
+import resource, sys
+from dataclasses import replace
+from stgnn.evaluation import ExperimentConfig, HyperGrid, run_experiment
+from stgnn.synth import SynthConfig, generate_dataset
+
+manifest = generate_dataset(SynthConfig(n_subjects=10, n_nodes=8, session_length=160,
+                                        n_sessions=4, seed=7), sys.argv[1])
+config = ExperimentConfig(manifest=str(manifest), model="mean_CNN_GCN5", seed=7,
+                          grid=replace(HyperGrid.fast(), epochs=1))
+run_experiment(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_a_second_run_in_one_process_reuses_the_heap(tmp_path):
+    """Every training step frees its tape at the top of the heap. Kept, those pages
+    serve the next step; trimmed, the next step faults them back in, 6.8k to 7.8k
+    minor faults for this second run (5 folds x 1 epoch), against under 100 kept."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SECOND_RUN_FAULTS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) < 1000
+
+
+class RecordingLibc:
+    """Stands in for ``ctypes.CDLL(None)``: records each ``mallopt`` call."""
+
+    def __init__(self, calls: list):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+def test_grid_workers_keep_the_heap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluation.ctypes, "CDLL", lambda name: RecordingLibc(calls))
+    monkeypatch.setattr(evaluation, "_grid_context", {})
+    with ad.default_dtype("f32"):
+        evaluation._install_grid_context(None, [], None, None, "f64")
+    # the mmap threshold at glibc's 64-bit ceiling of 32 MiB, and trimming off
+    assert calls == [(-3, 32 << 20), (-1, -1)]
+
+
+def missing_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [missing_libc, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_a_run_without_mallopt_completes(tiny_manifest, monkeypatch, cdll):
+    monkeypatch.setattr(evaluation.ctypes, "CDLL", cdll)
+    doc = run_experiment(tiny_config(tiny_manifest))
+    assert len(doc["folds"]) == 2
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
