@@ -6,10 +6,11 @@ topological order and consumes it as it goes. ``conv_bn_relu`` is a CNN
 encoder block as one op whose node keeps only its output and two floats per
 channel: its backward recomputes the conv from the block input.
 ``temporal_block`` is a TCN residual block as one op whose node keeps its
-output and two bool masks. A forward that nothing will differentiate runs
-under ``no_tape()``. Training runs in float32; switch to float64 (see
-``default_dtype``) when comparing analytic gradients against central finite
-differences.
+output and two bool masks. ``sage_layer`` is a GraphSAGE layer as one op
+whose node keeps only its output: its backward recomputes ``A·h``. A forward
+that nothing will differentiate runs under ``no_tape()``. Training runs in
+float32; switch to float64 (see ``default_dtype``) when comparing analytic
+gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -830,6 +831,61 @@ def temporal_block(x, weight, bias, down_weight, down_bias, dilation: int, rate:
         _conv_backward(g, conv_parents, taps, stride)
 
     return _make(out.transpose(2, 0, 1), conv_parents + down_parents[1:], backward_fn)
+
+
+def sage_layer(h, adjacency, degree, w_self, w_neigh, bias) -> Tensor:
+    """A GraphSAGE layer, ``relu(add(add(matmul(h, w_self), matmul(div(matmul(adjacency,
+    h), add(degree, degree == 0)), w_neigh)), bias))``, as one tape op, bit-for-bit: the
+    same arithmetic in the same order, summed in place into the self product, which
+    becomes the output. ``degree`` is the adjacency's row sum, (..., N, 1), a tape parent
+    of its own; a row of zero degree divides by 1, so its neighbour term is zero. The node
+    keeps only its output. Its backward takes the ReLU mask from the output and recomputes
+    ``A·h`` and the neighbour mean, one (N, N) x (N, F) product per sample; ``g @ Wᵀ``
+    follows ``matmul``'s contiguity rule."""
+    h = as_tensor(h)
+    adjacency, degree, w_self, w_neigh, bias = (
+        as_tensor(t, like=h) for t in (adjacency, degree, w_self, w_neigh, bias))
+    n, inner = h.data.shape[-2:]
+    if adjacency.data.shape[-2:] != (n, n) or degree.data.shape[-2:] != (n, 1):
+        raise ShapeError(f"sage_layer needs (..., {n}, {n}) adjacency and (..., {n}, 1) "
+                         f"degree for {h.data.shape} nodes")
+    cols = w_self.data.shape[1]
+
+    def neighbour_mean():
+        denom = degree.data + (degree.data == 0)
+        ah = adjacency.data @ h.data
+        return ah, denom, ah / denom
+
+    out = h.data.reshape(-1, inner) @ w_self.data
+    out += neighbour_mean()[2].reshape(-1, inner) @ w_neigh.data
+    out += bias.data
+    np.maximum(out, 0, out=out)
+    out = out.reshape(h.data.shape[:-1] + (cols,))
+
+    def backward_fn(g):
+        g *= out > 0  # ``g`` is this node's own (see ``Tensor.backward``)
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        ah, denom, neigh = neighbour_mean()
+        g2 = g.reshape(-1, cols)
+        _accumulate(w_neigh, neigh.reshape(-1, inner).T @ g2, fresh=True)
+        g_neigh = (g2 @ w_neigh.data.T).reshape(neigh.shape)
+        rows = h.data.reshape(-1, inner)  # a copy for a strided view, as in ``matmul``
+        _accumulate(w_self, rows.T @ g2, fresh=True)
+        if h.requires_grad:
+            ga = g2 @ w_self.data.T if rows.flags.c_contiguous else (w_self.data @ g2.T).T
+            _accumulate(h, ga.reshape(h.data.shape), fresh=True)
+        if degree.requires_grad:
+            _accumulate(degree, _unbroadcast(-g_neigh * ah / (denom * denom),
+                                             degree.data.shape), fresh=True)
+        g_ah = g_neigh / denom
+        if adjacency.requires_grad:
+            _accumulate(adjacency, _unbroadcast(g_ah @ np.swapaxes(h.data, -1, -2),
+                                                adjacency.data.shape))
+        if h.requires_grad:
+            _accumulate(h, _unbroadcast(np.swapaxes(adjacency.data, -1, -2) @ g_ah,
+                                        h.data.shape))
+
+    return _make(out, (h, adjacency, degree, w_self, w_neigh, bias), backward_fn)
 
 
 def weight_norm(direction, gain) -> Tensor:

@@ -58,7 +58,10 @@ class GraphSAGELayer(Module):
     """h'_v = relu(W_self h_v + W_neigh mean_{u in N(v)} h_u + b).
 
     The neighbor mean generalizes to weighted adjacency as a row-normalized
-    product; rows with zero degree contribute a zero neighbor term.
+    product; rows with zero degree contribute a zero neighbor term. The
+    degree is a ``tsum`` node of its own and the rest is one tape op,
+    ``autodiff.sage_layer``, which keeps only the layer output and recomputes
+    ``A·h`` in its backward.
     """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
@@ -71,10 +74,7 @@ class GraphSAGELayer(Module):
     def __call__(self, h, adjacency) -> Tensor:
         adjacency = ad.as_tensor(adjacency, like=h if isinstance(h, Tensor) else None)
         degree = ad.tsum(adjacency, axis=-1, keepdims=True)
-        zero_rows = (degree.data == 0).astype(degree.data.dtype)
-        neigh = ad.div(ad.matmul(adjacency, h), ad.add(degree, Tensor(zero_rows, dtype=degree.data.dtype)))
-        combined = ad.add(ad.matmul(h, self.w_self), ad.matmul(neigh, self.w_neigh))
-        return ad.relu(ad.add(combined, self.bias))
+        return ad.sage_layer(h, adjacency, degree, self.w_self, self.w_neigh, self.bias)
 
 
 class SageTower(Module):

@@ -1,5 +1,7 @@
 """Graph layers: normalization, message passing, pooling, permutation behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,12 @@ from gradcheck import TOLERANCE, gradcheck, random_projection_loss
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
 from stgnn.errors import ConfigError, ContractError
+from stgnn.evaluation import TrainSettings, _batch_loss
 from stgnn.graph import (DiffPoolLevel, DiffPoolStack, GCNLayer, GraphSAGELayer,
                          SageTower, cluster_schedule, entropy_loss, global_mean_pool, link_loss,
                          normalized_adjacency)
+from stgnn.models import ModelSpec, bce_loss, build_model
+from stgnn.nn import Adam
 
 
 def ring(n):
@@ -172,6 +177,122 @@ def test_sage_gradients_including_weighted_adjacency():
             loss_fn = random_projection_loss(lambda: layer(h, a), rng)
             wrt = [h, a, layer.w_self, layer.w_neigh, layer.bias]
             assert gradcheck(loss_fn, wrt) < TOLERANCE
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_sage_layer_gradients_with_adjacency_and_degree_taped(batch):
+    # at level 2 the adjacency Sᵀ A S and its row sum both carry a gradient; here the
+    # degree is an input of its own, kept away from 0, where the op takes 1 instead
+    with ad.default_dtype("f64"):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            h = Tensor(rng.normal(size=batch + (4, 3)), requires_grad=True)
+            a = Tensor(rng.normal(size=batch + (4, 4)), requires_grad=True)
+            degree = Tensor(rng.uniform(0.5, 2.0, size=batch + (4, 1)), requires_grad=True)
+            weights = [Tensor(rng.normal(size=shape), requires_grad=True)
+                       for shape in ((3, 2), (3, 2), (2,))]
+            loss_fn = random_projection_loss(lambda: ad.sage_layer(h, a, degree, *weights), rng)
+            assert gradcheck(loss_fn, [h, a, degree] + weights) < TOLERANCE
+
+
+# the fused GraphSAGE op against the ops it replaces --------------------------------
+
+
+def composed_sage_layer(self, h, adjacency):
+    """``GraphSAGELayer.__call__`` as separate tsum, matmul, add, div and relu ops."""
+    adjacency = ad.as_tensor(adjacency, like=h if isinstance(h, Tensor) else None)
+    degree = ad.tsum(adjacency, axis=-1, keepdims=True)
+    zero_rows = (degree.data == 0).astype(degree.data.dtype)
+    neigh = ad.div(ad.matmul(adjacency, h),
+                   ad.add(degree, Tensor(zero_rows, dtype=degree.data.dtype)))
+    combined = ad.add(ad.matmul(h, self.w_self), ad.matmul(neigh, self.w_neigh))
+    return ad.relu(ad.add(combined, self.bias))
+
+
+def sage_graph_batch(rng, b, n, t):
+    """Features, a symmetric weighted adjacency whose node 3 has no edge, and labels."""
+    features = rng.normal(size=(b, n, t)).astype(np.float32)
+    adjacency = np.abs(rng.normal(size=(b, n, n))).astype(np.float32)
+    adjacency += adjacency.transpose(0, 2, 1)
+    adjacency *= 1 - np.eye(n, dtype=np.float32)
+    adjacency[:, 3, :] = adjacency[:, :, 3] = 0
+    return features, adjacency, np.arange(b) % 2
+
+
+def diffpool_training_state(dtype, link_weight, entropy_weight):
+    """Gradients and parameters after each of 3 Adam steps of a whole ``diff5_TCN``
+    (train, eval and train mode, with the aux terms taped when weighted), then the
+    running buffers and eval-mode scores."""
+    rng = np.random.default_rng(5)
+    settings = TrainSettings(lr=1e-2, weight_decay=0.0, dropout=0.0, epochs=1, batch_size=5,
+                             link_weight=link_weight, entropy_weight=entropy_weight)
+    with ad.default_dtype(dtype):
+        model = build_model(ModelSpec.from_name("diff5_TCN", seed=2), 8, 64)
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        states = []
+        for train in (True, False, True):
+            batch = sage_graph_batch(rng, 5, 8, 64)
+            _batch_loss(model, *batch, settings, train=train)[0].backward()
+            optimizer.step()
+            states.append({k: (p.grad.tobytes(), p.data.tobytes())
+                           for k, p in model.named_parameters()})
+            model.zero_grad()
+        with ad.no_tape():
+            scores = model(*batch[:2], train=False)[0].numpy()
+        states.append({**{k: b.tobytes() for k, b in model.named_buffers()},
+                       "scores": scores.tobytes()})
+    return states
+
+
+@pytest.mark.parametrize("aux", [(0.0, 0.0), (1.0, 0.5)])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_sage_layer_trains_diff5_tcn_bit_for_bit_like_the_composed_ops(dtype, aux,
+                                                                       monkeypatch):
+    fused = diffpool_training_state(dtype, *aux)
+    monkeypatch.setattr(GraphSAGELayer, "__call__", composed_sage_layer)
+    assert diffpool_training_state(dtype, *aux) == fused
+
+
+def diffpool_step(b, n, t):
+    """The loss of one default ``diff5_TCN`` training forward, and the bytes its tape holds."""
+    batch = sage_graph_batch(np.random.default_rng(0), b, n, t)
+    model = build_model(ModelSpec.from_name("diff5_TCN", seed=1), n, t)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = bce_loss(model(*batch[:2], train=True)[0], batch[2])
+        return loss, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_sage_layer_holds_under_0_55_of_the_composed_tape(monkeypatch):
+    # each tower layer keeps only its output (0.47 of the composed tape at B=32, N=20,
+    # T=160); the composed ops also keep A·h, the neighbour mean, both weight products,
+    # their sum and the sum plus bias
+    fused_held = diffpool_step(32, 20, 160)[1]
+    monkeypatch.setattr(GraphSAGELayer, "__call__", composed_sage_layer)
+    assert fused_held <= 0.55 * diffpool_step(32, 20, 160)[1]
+
+
+def tape_nodes(loss: Tensor) -> int:
+    """Nodes with a backward closure that a backward pass from ``loss`` would run."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+def test_diff5_tcn_step_tape_has_78_nodes_fewer_than_the_composed_ops(monkeypatch):
+    # per tower layer, tsum plus sage_layer replace nine ops at level 2; at level 1 the
+    # adjacency is data, so tsum records no node and one replaces seven: 6 * (7 + 6)
+    fused = tape_nodes(diffpool_step(4, 20, 160)[0])
+    monkeypatch.setattr(GraphSAGELayer, "__call__", composed_sage_layer)
+    assert (fused, tape_nodes(diffpool_step(4, 20, 160)[0])) == (124, 124 + 78)
 
 
 # DiffPool --------------------------------------------------------------------------
