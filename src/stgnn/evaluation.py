@@ -323,9 +323,9 @@ def train_classifier(spec: ModelSpec, data, train_index: np.ndarray, val_index: 
                 return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True,
                                     failed_epoch=epoch,
                                     failure=f"non-finite training loss at batch start {start}")
-            model.zero_grad()
             loss.backward()
             optimizer.step()
+            model.zero_grad()  # so no step's gradients are alive during the next forward
             epoch_loss += value * len(idx)
             for key in epoch_aux:
                 epoch_aux[key] += aux[key] * len(idx)

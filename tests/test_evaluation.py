@@ -298,29 +298,49 @@ def _tiny_training():
                             settings, seed=1)
 
 
-def test_training_releases_each_step_tape_before_the_next_forward(monkeypatch):
+class Recording:
+    """A model ``train_classifier`` built, which calls ``before(model)`` as each training
+    forward starts and ``after(probabilities)`` as it ends."""
+
+    def __init__(self, model, before, after=lambda probs: None):
+        self.model, self.before, self.after = model, before, after
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def __call__(self, features, adjacency, train):
+        if train:
+            self.before(self.model)
+        probs, levels = self.model(features, adjacency, train=train)
+        if train:
+            self.after(probs)
+        return probs, levels
+
+
+def record_training(monkeypatch, before, after=lambda probs: None):
     build_model = evaluation.build_model
-    steps = []  # weak references to each training step's output probabilities
-
-    class Recording:
-        def __init__(self, model):
-            self.model = model
-
-        def __getattr__(self, name):
-            return getattr(self.model, name)
-
-        def __call__(self, features, adjacency, train):
-            if train and steps:
-                assert steps[-1]() is None, f"step {len(steps) - 1}'s tape is still alive"
-            probs, levels = self.model(features, adjacency, train=train)
-            if train:
-                steps.append(weakref.ref(probs.data))
-            return probs, levels
-
-    monkeypatch.setattr(evaluation, "build_model", lambda *args: Recording(build_model(*args)))
+    monkeypatch.setattr(evaluation, "build_model",
+                        lambda *args: Recording(build_model(*args), before, after))
     outcome = _tiny_training()
     assert not outcome.failed
+
+
+def test_training_releases_each_step_tape_before_the_next_forward(monkeypatch):
+    steps = []  # weak references to each training step's output probabilities
+
+    def before(model):
+        if steps:
+            assert steps[-1]() is None, f"step {len(steps) - 1}'s tape is still alive"
+
+    record_training(monkeypatch, before, lambda probs: steps.append(weakref.ref(probs.data)))
     assert len(steps) == 9  # 3 epochs of 3 batches
+
+
+def test_training_forward_starts_with_no_parameter_gradient(monkeypatch):
+    held = []  # parameters holding a gradient as each training forward starts
+    record_training(monkeypatch,
+                    lambda model: held.append(sum(p.grad is not None for p in model.parameters())))
+    assert held == [0] * 9  # 3 epochs of 3 batches
 
 
 @pytest.mark.parametrize("name", ["mean_CNN", "mean_CNN_GCN5", "diff5_TCN"])
