@@ -848,7 +848,7 @@ def sage_layer(h, adjacency, degree, w_self, w_neigh, bias) -> Tensor:
     n, inner = h.data.shape[-2:]
     if adjacency.data.shape[-2:] != (n, n) or degree.data.shape[-2:] != (n, 1):
         raise ShapeError(f"sage_layer needs (..., {n}, {n}) adjacency and (..., {n}, 1) "
-                         f"degree for {h.data.shape} nodes")
+                         f"degree for {h.data.shape} node features")
     cols = w_self.data.shape[1]
 
     def neighbour_mean():

@@ -9,7 +9,7 @@ from gradcheck import TOLERANCE, gradcheck, random_projection_loss
 
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
-from stgnn.errors import ConfigError, ContractError
+from stgnn.errors import ConfigError, ContractError, ShapeError
 from stgnn.evaluation import TrainSettings, _batch_loss
 from stgnn.graph import (DiffPoolLevel, DiffPoolStack, GCNLayer, GraphSAGELayer,
                          SageTower, cluster_schedule, entropy_loss, global_mean_pool, link_loss,
@@ -193,6 +193,13 @@ def test_sage_layer_gradients_with_adjacency_and_degree_taped(batch):
                        for shape in ((3, 2), (3, 2), (2,))]
             loss_fn = random_projection_loss(lambda: ad.sage_layer(h, a, degree, *weights), rng)
             assert gradcheck(loss_fn, [h, a, degree] + weights) < TOLERANCE
+
+
+def test_sage_layer_rejects_adjacency_or_degree_of_another_node_count():
+    h, w, b = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+    for a, degree in (((3, 3), (4, 1)), ((4, 4), (3, 1)), ((4, 4), (4,))):
+        with pytest.raises(ShapeError):
+            ad.sage_layer(h, Tensor(np.ones(a)), Tensor(np.ones(degree)), w, w, b)
 
 
 # the fused GraphSAGE op against the ops it replaces --------------------------------
