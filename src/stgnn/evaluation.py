@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, HarnessError, MetricError
 from .graph import entropy_loss, link_loss
-from .models import ModelSpec, bce_loss, build_model
+from .models import GraphClassifier, ModelSpec, bce_loss, build_model
 from .nn import Adam, uniform_fan_in
 from .prep import (SubjectRecord, balance_by_subject, build_samples, load_manifest,
                    stack_samples, window_adjacency, window_correlation)
@@ -237,7 +237,7 @@ class TrainSettings:
 
 @dataclass
 class TrainOutcome:
-    state: dict | None
+    model: GraphClassifier | None  # at its selected epoch; None if failed or dropped
     best_epoch: int
     best_val_loss: float
     train_curve: list[float]
@@ -265,15 +265,16 @@ def _batch_loss(model, features, adjacency, labels, settings: TrainSettings,
     return loss, logged
 
 
-def evaluate_loss(model, features, adjacency, labels, settings: TrainSettings,
+def evaluate_loss(model, data, rows: np.ndarray, settings: TrainSettings,
                   chunk: int = 256) -> float:
+    """Mean loss over the ``rows`` of the ``data`` stack, gathered one chunk at a time."""
     total = 0.0
     with ad.no_tape():
-        for start in range(0, len(labels), chunk):
-            x, a, y = _take((features, adjacency, labels), slice(start, start + chunk))
+        for start in range(0, len(rows), chunk):
+            x, a, y = _take(data, rows[start:start + chunk])
             loss, _ = _batch_loss(model, x, a, y, settings, train=False)
             total += loss.item() * len(y)
-    return total / len(labels)
+    return total / len(rows)
 
 
 def predict_scores(model, features, adjacency, chunk: int = 256) -> np.ndarray:
@@ -296,9 +297,8 @@ def train_classifier(spec: ModelSpec, data, train_index: np.ndarray, val_index: 
                      settings: TrainSettings, seed: int) -> TrainOutcome:
     """Train one model on the ``train_index`` rows of the ``data`` stack
     (features, adjacency, labels), tracking the ``val_index`` rows' loss per
-    epoch and keeping the best-epoch state (or the final state when
+    epoch, and return the model at its best epoch (or at its last, when
     ``select_final_epoch``)."""
-    val_data = _take(data, val_index)
     model = build_model(replace(spec, dropout=settings.dropout, seed=seed),
                         *data[0].shape[1:])
     optimizer = Adam(model.parameters(), lr=settings.lr,
@@ -332,7 +332,7 @@ def train_classifier(spec: ModelSpec, data, train_index: np.ndarray, val_index: 
         train_curve.append(epoch_loss / len(train_index))
         link_curve.append(epoch_aux["link"] / len(train_index))
         entropy_curve.append(epoch_aux["entropy"] / len(train_index))
-        val_loss = evaluate_loss(model, *val_data, settings)
+        val_loss = evaluate_loss(model, data, val_index, settings)
         val_curve.append(val_loss)
         if not np.isfinite(val_loss):
             return TrainOutcome(None, -1, np.inf, train_curve, val_curve, failed=True,
@@ -343,10 +343,10 @@ def train_classifier(spec: ModelSpec, data, train_index: np.ndarray, val_index: 
             if not settings.select_final_epoch:
                 best_state = model.state_dict()
     if settings.select_final_epoch:
-        return TrainOutcome(model.state_dict(), settings.epochs - 1,
-                            val_curve[-1], train_curve, val_curve, failed=False,
-                            link_curve=link_curve, entropy_curve=entropy_curve)
-    return TrainOutcome(best_state, best_epoch, best_val, train_curve, val_curve,
+        best_epoch, best_val = settings.epochs - 1, val_curve[-1]
+    else:
+        model.load_state_dict(best_state)
+    return TrainOutcome(model, best_epoch, best_val, train_curve, val_curve,
                         failed=False, link_curve=link_curve, entropy_curve=entropy_curve)
 
 
@@ -365,9 +365,9 @@ def select_grid_winner(records: Iterable[GridRecord]) -> GridRecord:
     earlier point and failed points never win.
 
     Records may arrive one at a time, as their trainings finish. A record
-    that does not beat the running winner drops its state as soon as it
+    that does not beat the running winner drops its model as soon as it
     arrives, and so does a winner once it is beaten, so only the running
-    winner's state outlives its comparison. Failed records are kept, with
+    winner's model outlives its comparison. Failed records are kept, with
     their curves and reasons, for the error when every point fails.
     """
     winner: GridRecord | None = None
@@ -377,10 +377,10 @@ def select_grid_winner(records: Iterable[GridRecord]) -> GridRecord:
             failed.append(record)
         elif winner is None or record.outcome.best_val_loss < winner.outcome.best_val_loss:
             if winner is not None:
-                winner.outcome.state = None
+                winner.outcome.model = None
             winner = record
         else:
-            record.outcome.state = None
+            record.outcome.model = None
     if winner is None:
         reasons = "; ".join(
             f"point {r.index} {r.point.to_dict()}: "
@@ -554,28 +554,23 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def _run_deep_folds(data, rows: list[dict[str, np.ndarray]], spec: ModelSpec,
                     config: ExperimentConfig) -> list[FoldReport]:
     """Train, select and score one fold at a time, in key order: a fold's
-    trainings, winner and scoring model are released before the next fold's
-    outcomes are read."""
+    trainings and winner are released before the next fold's outcomes are read."""
     points = config.grid.points()
     reports = []
     with _train_grid(data, rows, spec, config) as outcomes:
         for fold in range(len(rows)):
             records = (GridRecord(index=i, point=point, outcome=next(outcomes))
                        for i, point in enumerate(points))
-            reports.append(_score_fold(fold, records, data, rows[fold]["test"], spec, config))
+            reports.append(_score_fold(fold, records, data, rows[fold]["test"]))
     return reports
 
 
-def _score_fold(fold: int, records: Iterable[GridRecord], data, test_rows: np.ndarray,
-                spec: ModelSpec, config: ExperimentConfig) -> FoldReport:
-    """Select the fold's winner from its grid records and score the test rows with it."""
+def _score_fold(fold: int, records: Iterable[GridRecord], data,
+                test_rows: np.ndarray) -> FoldReport:
+    """Select the fold's winner from its grid records and score the test rows with its model."""
     winner = select_grid_winner(records)
-    model = build_model(replace(spec, dropout=winner.point.dropout,
-                                seed=derived_seed(config.seed, fold, winner.index)),
-                        *data[0].shape[1:])
-    model.load_state_dict(winner.outcome.state)
     test_x, test_a, test_y = _take(data, test_rows)
-    metrics = compute_metrics(predict_scores(model, test_x, test_a), test_y)
+    metrics = compute_metrics(predict_scores(winner.outcome.model, test_x, test_a), test_y)
     return FoldReport(
         fold=fold, hyperparameters=winner.point.to_dict(), **vars(metrics),
         train_curve=winner.outcome.train_curve, val_curve=winner.outcome.val_curve,

@@ -364,8 +364,8 @@ def test_scoring_records_no_tape_and_matches_a_tape_forward(name, monkeypatch):
     def score():
         outputs.clear()
         return (evaluation.predict_scores(recorded, features, adjacency, chunk=3),
-                evaluation.evaluate_loss(recorded, features, adjacency, labels, settings,
-                                         chunk=3))
+                evaluation.evaluate_loss(recorded, (features, adjacency, labels),
+                                         np.arange(7), settings, chunk=3))
 
     scores, loss = score()
     assert len(outputs) == 6
@@ -425,7 +425,8 @@ def test_pooling_terms_are_built_only_where_read_and_taped_only_where_weighted(
     evaluation._batch_loss(model, features, adjacency, labels, settings, train=True)
     assert built == [("link", "link" in taped), ("entropy", "entropy" in taped)]
     built.clear()
-    evaluation.evaluate_loss(model, features, adjacency, labels, settings, chunk=2)
+    evaluation.evaluate_loss(model, (features, adjacency, labels), np.arange(4), settings,
+                             chunk=2)
     assert built == [(name, False) for name in taped for _ in range(2)]
 
 
@@ -456,7 +457,7 @@ def test_failed_training_records_epoch_and_batch_start(monkeypatch):
 
     monkeypatch.setattr(evaluation, "bce_loss", loss_that_turns_nan)
     outcome = _tiny_training()
-    assert outcome.failed and outcome.state is None
+    assert outcome.failed and outcome.model is None
     assert (outcome.failed_epoch, outcome.failure) == (1, "non-finite training loss at batch start 4")
     assert len(outcome.train_curve) == 1
 
@@ -468,6 +469,66 @@ def test_failed_validation_records_epoch(monkeypatch):
     assert outcome.failed
     assert (outcome.failed_epoch, outcome.failure) == (1, "non-finite validation loss")
     assert outcome.val_curve[0] == 0.7 and np.isnan(outcome.val_curve[1])
+
+
+def held_out_training(monkeypatch, select_final_epoch=False):
+    """Train on 8 rows and validate on 4 others, recording the model's state
+    at each validation; the validation losses read (0.5, 0.3, 0.4), so the
+    best epoch is 1 and the last is 2."""
+    rng = np.random.default_rng(0)
+    data = (rng.normal(size=(12, 3, 16)).astype(np.float32), None,
+            (np.arange(12) % 2).astype(np.float32))
+    settings = TrainSettings(lr=1e-2, weight_decay=0.0, dropout=0.0, epochs=3, batch_size=4,
+                             select_final_epoch=select_final_epoch)
+    states = []
+    losses = iter([0.5, 0.3, 0.4])
+    evaluate_loss = evaluation.evaluate_loss
+
+    def recording_evaluate_loss(model, *args, **kwargs):
+        evaluate_loss(model, *args, **kwargs)
+        states.append(model.state_dict())
+        return next(losses)
+
+    monkeypatch.setattr(evaluation, "evaluate_loss", recording_evaluate_loss)
+    outcome = train_classifier(ModelSpec(encoder="cnn"), data, np.arange(8), np.arange(8, 12),
+                               settings, seed=1)
+    assert not outcome.failed
+    return outcome, states
+
+
+def same_state(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(a[key].tobytes() == b[key].tobytes() for key in a)
+
+
+@pytest.mark.parametrize("select_final_epoch,epoch", [(False, 1), (True, 2)])
+def test_training_returns_its_model_at_the_selected_epoch(monkeypatch, select_final_epoch,
+                                                          epoch):
+    outcome, states = held_out_training(monkeypatch, select_final_epoch)
+    assert outcome.best_epoch == epoch
+    assert not same_state(states[1], states[2])  # so the returned state tells them apart
+    assert same_state(outcome.model.state_dict(), states[epoch])
+
+
+def test_no_validation_copy_outlives_its_evaluate_loss_call(monkeypatch):
+    gathered = []  # a weak reference to each array gathered from the validation rows
+    evaluated = []  # how many of them are alive as each evaluate_loss call returns
+    take, evaluate_loss = evaluation._take, evaluation.evaluate_loss
+
+    def recording_take(data, rows):
+        out = take(data, rows)
+        if isinstance(rows, np.ndarray) and np.all(rows >= 8):  # rows 8 to 11 validate
+            gathered.extend(weakref.ref(array) for array in out if array is not None)
+        return out
+
+    def recording_evaluate_loss(*args, **kwargs):
+        loss = evaluate_loss(*args, **kwargs)
+        evaluated.append(sum(ref() is not None for ref in gathered))
+        return loss
+
+    monkeypatch.setattr(evaluation, "_take", recording_take)
+    monkeypatch.setattr(evaluation, "evaluate_loss", recording_evaluate_loss)
+    held_out_training(monkeypatch)
+    assert gathered and evaluated == [0, 0, 0]
 
 
 def test_training_that_diverges_everywhere_names_the_reason(tiny_manifest, monkeypatch):
@@ -681,6 +742,22 @@ def test_run_experiment_selects_lowest_validation_loss(tiny_manifest, monkeypatc
         assert (report["hyperparameters"]["lr"], report["best_val_loss"]) == (lr, loss)
 
 
+def test_run_experiment_builds_one_model_per_grid_point(tiny_manifest, monkeypatch):
+    built = []
+    build_model = evaluation.build_model
+
+    def counted_build_model(spec, *shape):
+        built.append((spec.seed, spec.dropout))
+        return build_model(spec, *shape)
+
+    monkeypatch.setattr(evaluation, "build_model", counted_build_model)
+    config = tiny_config(tiny_manifest, grid=TWO_POINT_GRID)
+    run_experiment(config)
+    # 2 folds x 2 grid points, each built once, by its training; scoring builds none
+    assert built == [(derived_seed(config.seed, fold, index), 0.0)
+                     for fold in range(2) for index in range(2)]
+
+
 def test_run_experiment_parallel_matches_sequential(tiny_manifest):
     cases = [
         ("mean_CNN", "f32", {}),
@@ -839,14 +916,14 @@ def test_a_run_keeps_no_state_but_the_running_winners(tiny_manifest, monkeypatch
     pools: list[RecordingPool] = []
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor",
                         lambda **kwargs: RecordingPool(pools, **kwargs))
-    states = []  # a weak reference to one array of each returned best state
-    alive = []  # how many earlier states are alive as each training starts
+    models = []  # a weak reference to each returned model
+    alive = []  # how many earlier models are alive as each training starts
     train_classifier = evaluation.train_classifier
 
     def recording_train_classifier(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in states))
+        alive.append(sum(ref() is not None for ref in models))
         outcome = train_classifier(*args, **kwargs)
-        states.append(weakref.ref(next(iter(outcome.state.values()))))
+        models.append(weakref.ref(outcome.model))
         return outcome
 
     monkeypatch.setattr(evaluation, "train_classifier", recording_train_classifier)
@@ -857,7 +934,7 @@ def test_a_run_keeps_no_state_but_the_running_winners(tiny_manifest, monkeypatch
     # 2 folds x 3 points: each fold's first training starts with nothing from
     # the last fold, and the later ones with only the fold's running winner
     assert alive == [0, 1, 1] * 2
-    assert [ref() for ref in states] == [None] * 6
+    assert [ref() for ref in models] == [None] * 6
 
 
 def test_spawned_workers_share_the_cores_as_blas_threads(monkeypatch):
