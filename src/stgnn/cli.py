@@ -270,12 +270,16 @@ def main(argv=None) -> int:
         }
         return handlers[args.command](args)
     except StgnnError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+        return _report(type(exc).__name__, exc)
     except MemoryError as exc:  # numpy raises a private subclass; report the public name
-        print(json.dumps({"error": "MemoryError", "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _report("MemoryError", exc)
+
+
+def _report(error: str, exc: BaseException) -> int:
+    """Print the error as one JSON line in a single write, so the lines that
+    several processes write to one unbuffered stderr never interleave."""
+    sys.stderr.write(json.dumps({"error": error, "message": str(exc)}) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -626,7 +626,15 @@ def _spawn_pool(workers: int, initializer=None, initargs=()):
     that is already set is left as it is. An exception that leaves the block
     cancels the tasks still queued, so the pool closes once the running ones
     finish. A worker that dies breaks the pool: that is a ``HarnessError``.
+
+    A spawned process that is still importing its parent's main script (a
+    script with no ``if __name__ == "__main__":`` guard) gets a
+    ``HarnessError`` before any pool object exists, so it leaves no
+    semaphores behind for the resource tracker to report.
     """
+    if getattr(multiprocessing.current_process(), "_inheriting", False):
+        raise HarnessError("a --jobs worker cannot start a pool of its own while it imports "
+                           "its parent's main script")
     threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
     added = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
     os.environ.update({name: threads for name in added})

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,6 +236,14 @@ def test_run_rejects_malformed_manifest_with_one_error_json_line(tmp_path, capsy
     assert message in err["message"]
 
 
+def test_an_error_line_is_written_in_one_write(tmp_path, monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stderr", SimpleNamespace(write=writes.append))
+    assert run_cli("run", "--data", tmp_path / "missing.json", "--out", tmp_path / "out") == 1
+    (line,) = writes  # with stderr unbuffered, each write is one write(2) of its own
+    assert line.endswith("\n") and json.loads(line)["error"] == "DataError"
+
+
 UNGUARDED_SCRIPT = """
 import sys
 
@@ -258,9 +267,11 @@ def test_jobs_run_from_a_script_without_main_guard_ends_with_one_error_json_line
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
-    err = json.loads(done.stderr.splitlines()[-1])
-    assert err["error"] == "HarnessError"
-    assert 'if __name__ == "__main__":' in err["message"]
+    # a worker that gets as far as the pool reports its own error line, and nothing else
+    errors = [json.loads(line) for line in done.stderr.splitlines()]
+    assert all(err["error"] == "HarnessError" for err in errors), done.stderr
+    assert errors[-1]["message"].startswith("a --jobs worker died")
+    assert 'if __name__ == "__main__":' in errors[-1]["message"]
     assert not (tmp_path / "out").exists()
 
 

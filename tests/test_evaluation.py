@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import multiprocessing
 import os
 import pickle
 import platform
@@ -909,6 +910,19 @@ def test_pool_cancels_queued_tasks_when_the_block_raises():
     # the 2 running tasks and the one in the call queue finish; the rest never start
     assert sum(future.cancelled() for future in futures) >= 12 - 3
     assert elapsed < 12 * 1.0 / 2, elapsed  # all 12 would take 6 s on 2 workers
+
+
+def test_a_worker_importing_its_parents_script_starts_no_pool(monkeypatch):
+    constructed = []
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor",
+                        lambda **kwargs: constructed.append(kwargs))
+    monkeypatch.setattr(multiprocessing.current_process(), "_inheriting", True, raising=False)
+    environ = dict(os.environ)
+    with pytest.raises(HarnessError, match="while it imports its parent's main script"):
+        with evaluation._spawn_pool(2):
+            pass
+    assert constructed == []
+    assert dict(os.environ) == environ
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
