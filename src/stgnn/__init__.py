@@ -7,8 +7,8 @@ harness, all on a self-contained numpy autodiff core.
 """
 
 from .autodiff import Tensor, default_dtype, get_default_dtype, set_default_dtype
-from .evaluation import (ExperimentConfig, FoldPlan, HyperGrid, baseline_flat_correlation,
-                         compute_metrics, plan_folds, run_experiment)
+from .evaluation import (ExperimentConfig, HyperGrid, baseline_flat_correlation, compute_metrics,
+                         plan_folds, run_experiment)
 from .models import GraphClassifier, ModelSpec, bce_loss, build_model
 from .prep import (GraphSample, SubjectRecord, balance_by_subject, covariance_to_correlation,
                    ledoit_wolf_covariance, load_manifest, prepare_graph_samples, robust_scale,
@@ -18,7 +18,7 @@ from .synth import SynthConfig, generate, generate_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExperimentConfig", "FoldPlan", "GraphClassifier", "GraphSample", "HyperGrid",
+    "ExperimentConfig", "GraphClassifier", "GraphSample", "HyperGrid",
     "ModelSpec", "SubjectRecord", "SynthConfig", "Tensor",
     "balance_by_subject", "baseline_flat_correlation", "bce_loss", "build_model",
     "compute_metrics", "covariance_to_correlation", "default_dtype", "generate",

@@ -367,6 +367,19 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # linear algebra ------------------------------------------------------------
 
 
+def _fold_backward(a: Tensor, b: Tensor, g2: np.ndarray) -> None:
+    """The gradients of ``a.reshape(-1, K) @ b`` for a 2-D ``b``, given the product's
+    gradient ``g2``, (rows, cols): one GEMM each."""
+    rows = a.data.reshape(-1, b.data.shape[0])  # rebuilt rather than kept: a copy for a strided view
+    if a.requires_grad:
+        # in the memory order of ``rows``: a flattened time-major conv output gets a
+        # time-major gradient, which the conv's backward reads without a copy
+        ga = g2 @ b.data.T if rows.flags.c_contiguous else (b.data @ g2.T).T
+        _accumulate(a, ga.reshape(a.data.shape), fresh=True)
+    if b.requires_grad:
+        _accumulate(b, rows.T @ g2, fresh=True)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes, broadcasting the leading ones.
 
@@ -385,18 +398,10 @@ def matmul(a, b) -> Tensor:
         inner, cols = b.data.shape
         data = (a.data.reshape(-1, inner) @ b.data).reshape(a.data.shape[:-1] + (cols,))
 
-        def fold_backward(g):
-            g2 = g.reshape(-1, cols)
-            rows = a.data.reshape(-1, inner)  # rebuilt rather than kept: a copy for a strided view
-            if a.requires_grad:
-                # in the memory order of ``rows``: a flattened time-major conv output gets a
-                # time-major gradient, which the conv's backward reads without a copy
-                ga = g2 @ b.data.T if rows.flags.c_contiguous else (b.data @ g2.T).T
-                _accumulate(a, ga.reshape(a.data.shape), fresh=True)
-            if b.requires_grad:
-                _accumulate(b, rows.T @ g2, fresh=True)
+        def backward_fn(g):
+            _fold_backward(a, b, g.reshape(-1, cols))
 
-        return _make(data, (a, b), fold_backward)
+        return _make(data, (a, b), backward_fn)
     data = a.data @ b.data
 
     def backward_fn(g):
@@ -424,7 +429,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0, e) / (1.0 + e)
     data = data.astype(x.dtype, copy=False)
 
     def backward_fn(g):
@@ -840,8 +846,8 @@ def sage_layer(h, adjacency, degree, w_self, w_neigh, bias) -> Tensor:
     becomes the output. ``degree`` is the adjacency's row sum, (..., N, 1), a tape parent
     of its own; a row of zero degree divides by 1, so its neighbour term is zero. The node
     keeps only its output. Its backward takes the ReLU mask from the output and recomputes
-    ``A·h`` and the neighbour mean, one (N, N) x (N, F) product per sample; ``g @ Wᵀ``
-    follows ``matmul``'s contiguity rule."""
+    ``A·h`` and the neighbour mean, one (N, N) x (N, F) product per sample; its self term
+    is ``matmul``'s."""
     h = as_tensor(h)
     adjacency, degree, w_self, w_neigh, bias = (
         as_tensor(t, like=h) for t in (adjacency, degree, w_self, w_neigh, bias))
@@ -869,11 +875,7 @@ def sage_layer(h, adjacency, degree, w_self, w_neigh, bias) -> Tensor:
         g2 = g.reshape(-1, cols)
         _accumulate(w_neigh, neigh.reshape(-1, inner).T @ g2, fresh=True)
         g_neigh = (g2 @ w_neigh.data.T).reshape(neigh.shape)
-        rows = h.data.reshape(-1, inner)  # a copy for a strided view, as in ``matmul``
-        _accumulate(w_self, rows.T @ g2, fresh=True)
-        if h.requires_grad:
-            ga = g2 @ w_self.data.T if rows.flags.c_contiguous else (w_self.data @ g2.T).T
-            _accumulate(h, ga.reshape(h.data.shape), fresh=True)
+        _fold_backward(h, w_self, g2)  # the self term, fresh
         if degree.requires_grad:
             _accumulate(degree, _unbroadcast(-g_neigh * ah / (denom * denom),
                                              degree.data.shape), fresh=True)

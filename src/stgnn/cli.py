@@ -241,11 +241,17 @@ def cmd_roc_plot(args) -> int:
             reader = csv.DictReader(fh)
             if reader.fieldnames != ["threshold", "fpr", "tpr"]:
                 raise DataError(f"{path}: expected header threshold,fpr,tpr")
-            try:
-                points = [(float(row["fpr"]), float(row["tpr"])) for row in reader]
-            except (TypeError, ValueError):
-                raise DataError(f"{path}, line {reader.line_num}: fpr and tpr must be "
-                                f"numbers") from None
+            points = []
+            for row in reader:
+                try:
+                    point = (float(row["fpr"]), float(row["tpr"]))
+                    valid = all(0.0 <= value <= 1.0 for value in point)  # NaN fails too
+                except (TypeError, ValueError):
+                    valid = False
+                if not valid:
+                    raise DataError(f"{path}, line {reader.line_num}: fpr and tpr must be "
+                                    f"numbers in [0, 1]")
+                points.append(point)
         curves.append((Path(path).stem, points))
     _atomic_write_text(args.out, roc_svg(curves))
     print(args.out)

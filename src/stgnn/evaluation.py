@@ -43,28 +43,7 @@ def derived_seed(*parts: int) -> int:
 # fold planning -----------------------------------------------------------------
 
 
-@dataclass
-class FoldPlan:
-    """Outer fold per subject plus an inner train/validation split per fold."""
-
-    k: int
-    folds: dict[str, int]
-    inner: dict[int, dict[str, str]]
-
-    def test_subjects(self, fold: int) -> set[str]:
-        return {s for s, f in self.folds.items() if f == fold}
-
-    def inner_subjects(self, fold: int, role: str) -> set[str]:
-        return {s for s, r in self.inner[fold].items() if r == role}
-
-    def rows(self, subjects: list[str], fold: int) -> dict[str, np.ndarray]:
-        """Ascending indices into a sample stack whose rows belong to ``subjects``,
-        per role of ``fold``: inner "train" and "val", outer "test"."""
-        assert_no_leakage(self, fold)
-        roles = {"train": self.inner_subjects(fold, "train"),
-                 "val": self.inner_subjects(fold, "val"), "test": self.test_subjects(fold)}
-        return {role: np.flatnonzero([s in members for s in subjects])
-                for role, members in roles.items()}
+ROLES = ("train", "val", "test")  # a subject's role in one fold
 
 
 def _greedy_assign(subjects: list[tuple[str, int]], k: int,
@@ -83,11 +62,16 @@ def _greedy_assign(subjects: list[tuple[str, int]], k: int,
     return assignment
 
 
-def plan_folds(subjects: list[str], labels, k: int = 5, seed: int = 0) -> FoldPlan:
+def plan_folds(subjects: list[str], labels, k: int = 5,
+               seed: int = 0) -> list[dict[str, np.ndarray]]:
     """Stratified assignment of whole subjects to k outer folds, plus an
     inner split that reserves one fifth of each training fold's subjects
     (stratified the same way) for validation. ``subjects`` and ``labels``
-    give each sample's subject and label, as ``stack_samples`` returns them."""
+    give each sample's subject and label, as ``stack_samples`` returns them.
+
+    Returns, per fold, the ascending sample rows of each role in ``ROLES``:
+    inner "train" and "val", outer "test". Each subject has one role per
+    fold, so all of its rows share a side of every split."""
     if k < 2:
         raise ConfigError(f"cross-validation needs at least 2 folds; got {k}")
     label_of: dict[str, int] = {}  # each subject once, in order of first appearance
@@ -98,27 +82,26 @@ def plan_folds(subjects: list[str], labels, k: int = 5, seed: int = 0) -> FoldPl
     if any(count < k for count in per_class.values()):
         raise ConfigError(f"need at least k={k} subjects per class; have {per_class}")
     folds = _greedy_assign(list(label_of.items()), k, derived_rng(seed, 0xF01D))
-    inner: dict[int, dict[str, str]] = {}
+    position = {sid: i for i, sid in enumerate(label_of)}
+    row_subject = np.array([position[sid] for sid in subjects], dtype=np.intp)
+    outer = np.array([folds[sid] for sid in label_of], dtype=np.intp)
+    classes = np.array(list(label_of.values()), dtype=np.intp)
+    plan = []
     for fold in range(k):
-        train_pool = [(sid, label) for sid, label in label_of.items() if folds[sid] != fold]
+        role = np.where(outer == fold, ROLES.index("test"), ROLES.index("train"))
         val_rng = derived_rng(seed, 0x1AEA, fold)
-        roles: dict[str, str] = {sid: "train" for sid, _ in train_pool}
-        for label in sorted({lab for _, lab in train_pool}):
-            members = [sid for sid, lab in train_pool if lab == label]
+        for label in sorted(per_class):
+            members = np.flatnonzero((outer != fold) & (classes == label))
             n_val = max(1, int(round(len(members) / 5)))
-            chosen = val_rng.permutation(len(members))[:n_val]
-            for idx in chosen:
-                roles[members[idx]] = "val"
-        inner[fold] = roles
-    return FoldPlan(k=k, folds=folds, inner=inner)
-
-
-def assert_no_leakage(plan: FoldPlan, fold: int) -> None:
-    test = plan.test_subjects(fold)
-    train = plan.inner_subjects(fold, "train")
-    val = plan.inner_subjects(fold, "val")
-    if test & train or test & val or train & val:
-        raise HarnessError(f"subject leakage detected in fold {fold}")
+            if n_val == len(members):
+                raise ConfigError(f"fold {fold} leaves class {label} no training subject: "
+                                  f"its one subject outside the test fold is held out for "
+                                  f"validation; each class needs at least 2 subjects outside "
+                                  f"every test fold")
+            role[members[val_rng.permutation(len(members))[:n_val]]] = ROLES.index("val")
+        row_role = role[row_subject]
+        plan.append({name: np.flatnonzero(row_role == code) for code, name in enumerate(ROLES)})
+    return plan
 
 
 # metrics -------------------------------------------------------------------------
@@ -505,8 +488,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # every model reads the stack: the sample list dies once stacked, so no window is held twice
     features, adjacency, labels, subjects = stack_samples(
         build_samples(records, config.windows_per_scan, threshold))
-    plan = plan_folds(subjects, labels, k=config.k_folds, seed=config.seed)
-    rows = [plan.rows(subjects, fold) for fold in range(plan.k)]
+    rows = plan_folds(subjects, labels, k=config.k_folds, seed=config.seed)
     data = (features, adjacency, labels)
 
     if is_baseline:

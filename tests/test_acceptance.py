@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck, random_projection_loss
-from test_evaluation import fold_rows, subject_rows  # the lightweight sample rows
+from test_evaluation import subject_rows, subjects_by_role  # the lightweight sample rows
 
 from stgnn import autodiff as ad
 from stgnn.autodiff import Tensor
@@ -271,13 +271,12 @@ def test_criterion_5_fold_protocol_guards():
         n1 = 5 * int(rng.integers(2, 9))
         labels = {f"a{i}": 0 for i in range(n0)}
         labels.update({f"b{i}": 1 for i in range(n1)})
-        plan = plan_folds(*subject_rows(labels, per_subject=1), k=5, seed=seed)
+        subjects, sample_labels = subject_rows(labels, per_subject=1)
+        plan = plan_folds(subjects, sample_labels, k=5, seed=seed)
         seen = set()
         global_p = n1 / (n0 + n1)
-        for fold in range(5):
-            test = plan.test_subjects(fold)
-            train = plan.inner_subjects(fold, "train")
-            val = plan.inner_subjects(fold, "val")
+        for roles in subjects_by_role(plan, subjects):
+            test, train, val = roles["test"], roles["train"], roles["val"]
             ok &= not (test & seen)
             seen |= test
             ok &= not (test & train) and not (test & val) and not (train & val)
@@ -333,7 +332,7 @@ def synthetic_runs(tmp_path_factory):
     features, adjacency, labels, subjects = stack_samples(
         prepare_graph_samples(records, windows_per_scan=1, threshold_percent=5, balance_seed=0))
     data = (features, adjacency, labels)
-    rows = fold_rows(subjects, labels, k=5, seed=7)
+    rows = plan_folds(subjects, labels, k=5, seed=7)
     flat = baseline_flat_correlation(data, rows, binarize=False, seed=7)
     binarized = baseline_flat_correlation(data, rows, binarize=True, seed=7)
     return {"deep": deep, "null": null, "elapsed": elapsed,

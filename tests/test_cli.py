@@ -196,6 +196,22 @@ def test_run_reports_an_unreadable_session_file_with_one_error_json_line(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_two_folds_with_two_subjects_per_class_fail_with_one_error_json_line(tmp_path, capsys):
+    # each class's one subject outside a test fold would be its validation subject
+    assert run_cli("synth", "--subjects", 4, "--nodes", 2, "--length", 32,
+                   "--out", tmp_path / "data") == 0
+    capsys.readouterr()
+    code = run_cli("run", "--data", tmp_path / "data" / "manifest.json", "--folds", 2,
+                   "--grid-fast", "--model", "mean_CNN", "--out", tmp_path / "out")
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1 and "Traceback" not in captured
+    err = json.loads(captured)
+    assert err["error"] == "ConfigError"
+    assert "leaves class" in err["message"] and "no training subject" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])
 def test_run_refuses_an_out_path_at_or_under_a_file_before_reading_data(tmp_path, capsys, out):
     (tmp_path / "taken").write_text("kept\n")
@@ -435,7 +451,10 @@ def test_roc_plot_missing_input_fails(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
 
-@pytest.mark.parametrize("rows", ["1.9,abc,0\n", "1.9,0\n", None])
+@pytest.mark.parametrize("rows", ["1.9,abc,0\n", "1.9,0\n", None,
+                                  # points outside the unit square, NaN and infinities
+                                  "nan,nan,inf\n", "0.5,nan,0.5\n", "0.5,0.5,inf\n",
+                                  "0.5,-0.1,0.5\n", "0.5,0.5,1.5\n", "0.5,-inf,1\n"])
 def test_roc_plot_rejects_unreadable_input_with_error_json(tmp_path, capsys, rows):
     source = tmp_path / "roc_fold0.csv"
     if rows is None:
@@ -445,6 +464,7 @@ def test_roc_plot_rejects_unreadable_input_with_error_json(tmp_path, capsys, row
     assert run_cli("roc-plot", source, "--out", tmp_path / "o.svg") == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError" and "roc_fold0.csv" in err["message"]
+    assert rows is None or "line 3" in err["message"]
     assert not (tmp_path / "o.svg").exists()
 
 

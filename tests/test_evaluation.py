@@ -22,8 +22,8 @@ from stgnn.errors import ConfigError, HarnessError, MetricError
 from stgnn import autodiff as ad
 from stgnn import evaluation, prep
 from stgnn.autodiff import Tensor
-from stgnn.evaluation import (ExperimentConfig, FoldPlan, HyperGrid, HyperPoint,
-                              assert_no_leakage, baseline_flat_correlation,
+from stgnn.evaluation import (ROLES, ExperimentConfig, HyperGrid, HyperPoint,
+                              baseline_flat_correlation,
                               compute_metrics, default_batch_size, derived_rng, derived_seed,
                               flat_correlation_features, plan_folds, run_experiment,
                               select_grid_winner, train_classifier, GridRecord,
@@ -40,42 +40,40 @@ def subject_rows(labels_by_subject: dict[str, int], per_subject: int = 2):
     return subjects, [labels_by_subject[sid] for sid in subjects]
 
 
-def fold_rows(subjects, labels, k: int, seed: int = 0) -> list[dict[str, np.ndarray]]:
-    """Each fold's train, val and test rows, as ``run_experiment`` computes them."""
-    plan = plan_folds(subjects, labels, k=k, seed=seed)
-    return [plan.rows(subjects, fold) for fold in range(k)]
-
-
 # fold planning -----------------------------------------------------------------
+
+
+def subjects_by_role(plan, subjects) -> list[dict[str, set[str]]]:
+    """Each fold's subjects per role, read from the rows ``plan_folds`` returned."""
+    subjects = np.asarray(subjects)
+    return [{role: set(subjects[rows[role]].tolist()) for role in ROLES} for rows in plan]
 
 
 def test_plan_folds_balanced_ten_subjects():
     labels = {f"s{i}": i % 2 for i in range(10)}
-    plan = plan_folds(*subject_rows(labels), k=5, seed=0)
-    for fold in range(5):
-        members = plan.test_subjects(fold)
-        assert len(members) == 2
-        assert sorted(labels[s] for s in members) == [0, 1]
+    subjects, sample_labels = subject_rows(labels)
+    plan = plan_folds(subjects, sample_labels, k=5, seed=0)
+    assert len(plan) == 5
+    for roles in subjects_by_role(plan, subjects):
+        assert len(roles["test"]) == 2
+        assert sorted(labels[s] for s in roles["test"]) == [0, 1]
 
 
 def test_plan_folds_is_a_partition():
     labels = {f"s{i}": i % 2 for i in range(20)}
-    plan = plan_folds(*subject_rows(labels), k=5, seed=3)
+    subjects, sample_labels = subject_rows(labels)
     all_subjects = set()
-    for fold in range(5):
-        members = plan.test_subjects(fold)
-        assert not (members & all_subjects)
-        all_subjects |= members
+    for roles in subjects_by_role(plan_folds(subjects, sample_labels, k=5, seed=3), subjects):
+        assert not (roles["test"] & all_subjects)
+        all_subjects |= roles["test"]
     assert all_subjects == set(labels)
 
 
 def test_plan_folds_inner_split_disjoint_and_stratified():
     labels = {f"s{i}": i % 2 for i in range(30)}
-    plan = plan_folds(*subject_rows(labels), k=5, seed=1)
-    for fold in range(5):
-        train = plan.inner_subjects(fold, "train")
-        val = plan.inner_subjects(fold, "val")
-        test = plan.test_subjects(fold)
+    subjects, sample_labels = subject_rows(labels)
+    for roles in subjects_by_role(plan_folds(subjects, sample_labels, k=5, seed=1), subjects):
+        train, val, test = (roles[role] for role in ("train", "val", "test"))
         assert not (train & val) and not (train & test) and not (val & test)
         assert train | val == set(labels) - test
         assert {labels[s] for s in val} == {0, 1}  # both classes held out
@@ -88,11 +86,11 @@ def test_plan_folds_class_proportions_over_seeds():
         n1 = 5 * int(rng.integers(2, 9))
         labels = {f"a{i}": 0 for i in range(n0)}
         labels.update({f"b{i}": 1 for i in range(n1)})
-        plan = plan_folds(*subject_rows(labels, per_subject=1), k=5, seed=seed)
+        subjects, sample_labels = subject_rows(labels, per_subject=1)
+        plan = plan_folds(subjects, sample_labels, k=5, seed=seed)
         global_p = n1 / (n0 + n1)
-        for fold in range(5):
-            members = plan.test_subjects(fold)
-            p = sum(labels[s] for s in members) / len(members)
+        for roles in subjects_by_role(plan, subjects):
+            p = sum(labels[s] for s in roles["test"]) / len(roles["test"])
             assert abs(p - global_p) <= 0.05 + 1e-9
 
 
@@ -102,16 +100,38 @@ def test_plan_folds_needs_enough_subjects():
         plan_folds(*subject_rows(labels), k=5, seed=0)
 
 
-def test_leakage_guard_detects_corruption():
-    labels = {f"s{i}": i % 2 for i in range(10)}
-    plan = plan_folds(*subject_rows(labels), k=5, seed=0)
-    leaked = FoldPlan(k=plan.k, folds=plan.folds,
-                      inner={f: dict(v) for f, v in plan.inner.items()})
-    victim = next(iter(plan.test_subjects(0)))
-    leaked.inner[0][victim] = "train"
-    assert_no_leakage(plan, 0)
-    with pytest.raises(HarnessError):
-        assert_no_leakage(leaked, 0)
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_plan_folds_rows_keep_subjects_whole_with_both_classes_in_every_role(k, data, seed):
+    counts = [data.draw(st.integers(k, k + 8), label=f"subjects of class {c}") for c in (0, 1)]
+    pairs = [(f"c{label}s{i}", label) for label, count in enumerate(counts)
+             for i in range(count)
+             for _ in range(data.draw(st.integers(1, 3), label="rows per subject"))]
+    pairs = data.draw(st.permutations(pairs), label="row order")
+    subjects, labels = map(np.asarray, zip(*pairs))
+    # a fold's test rows take at most ceil(count / k) subjects of a class, and the inner
+    # split holds out at least one of the rest, which must leave one for training
+    if any(count - -(-count // k) < 2 for count in counts):
+        with pytest.raises(ConfigError, match=r"fold \d+ leaves class [01] no training subject"):
+            plan_folds(subjects.tolist(), labels, k=k, seed=seed)
+        return
+    plan = plan_folds(subjects.tolist(), labels, k=k, seed=seed)
+    assert len(plan) == k
+    tested = []
+    for rows in plan:
+        assert list(rows) == list(ROLES)
+        for role in ROLES:
+            assert rows[role].dtype.kind == "i" and np.all(np.diff(rows[role]) > 0)
+            assert set(labels[rows[role]].tolist()) == {0, 1}
+        # disjoint and covering every row
+        assert np.array_equal(np.sort(np.concatenate(list(rows.values()))),
+                              np.arange(len(subjects)))
+        role_of = {}
+        for role in ROLES:
+            for sid in subjects[rows[role]].tolist():
+                assert role_of.setdefault(sid, role) == role
+        tested += set(subjects[rows["test"]].tolist())
+    assert sorted(tested) == sorted(set(subjects.tolist()))  # each subject in test once
 
 
 # metrics ------------------------------------------------------------------------
@@ -442,8 +462,8 @@ def test_baseline_scores_each_test_fold_without_a_tape(monkeypatch):
 
     monkeypatch.setattr(ad, "sigmoid", recording_sigmoid)
     features, adjacency, labels, subjects = synth_stack(n_subjects=8)
-    baseline_flat_correlation((features, adjacency, labels), fold_rows(subjects, labels, k=2),
-                              binarize=False)
+    baseline_flat_correlation((features, adjacency, labels),
+                              plan_folds(subjects, labels, k=2), binarize=False)
     # every fold trains in each epoch's one tape, then one untaped pass scores them all
     assert taped == [True] * evaluation.BASELINE_EPOCHS + [False]
 
@@ -599,7 +619,7 @@ def per_fold_baseline(data, rows, binarize: bool, seed: int = 0):
 def test_batched_baseline_agrees_with_one_model_per_fold_in_f64(k, binarize):
     with ad.default_dtype("f64"):
         features, adjacency, labels, subjects = synth_stack(n_subjects=20, effect=0.5)
-        rows = fold_rows(subjects, labels, k=k, seed=2)
+        rows = plan_folds(subjects, labels, k=k, seed=2)
         reports = baseline_flat_correlation((features, adjacency, labels), rows,
                                             binarize=binarize, seed=3)
         reference = per_fold_baseline((features, adjacency, labels), rows, binarize, seed=3)
@@ -623,7 +643,7 @@ def test_batched_baseline_fold_ignores_its_test_labels(monkeypatch):
 
     monkeypatch.setattr(evaluation, "compute_metrics", recording_compute_metrics)
     features, adjacency, labels, subjects = synth_stack(n_subjects=12)
-    rows = fold_rows(subjects, labels, k=3)
+    rows = plan_folds(subjects, labels, k=3)
     flipped = labels.copy()
     flipped[rows[0]["test"]] = 1 - flipped[rows[0]["test"]]
     runs = []
@@ -644,15 +664,15 @@ def test_baseline_steps_adam_once_per_epoch_for_any_fold_count(k, monkeypatch):
     step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda self: (steps.append(None), step(self)))
     features, adjacency, labels, subjects = synth_stack(n_subjects=10)
-    baseline_flat_correlation((features, adjacency, labels), fold_rows(subjects, labels, k=k),
-                              binarize=False)
+    baseline_flat_correlation((features, adjacency, labels),
+                              plan_folds(subjects, labels, k=k), binarize=False)
     assert len(steps) == evaluation.BASELINE_EPOCHS
 
 
 def test_baseline_separates_covariance_signal():
     features, adjacency, labels, subjects = synth_stack(n_subjects=12, effect=1.0)
     reports = baseline_flat_correlation((features, adjacency, labels),
-                                        fold_rows(subjects, labels, k=2), binarize=False, seed=0)
+                                        plan_folds(subjects, labels, k=2), binarize=False, seed=0)
     mean_auc = np.mean([r.auc for r in reports])
     assert mean_auc >= 0.9
 
