@@ -123,6 +123,7 @@ def cmd_synth(args) -> int:
     config = SynthConfig(n_subjects=args.subjects, n_nodes=args.nodes,
                          session_length=args.length, n_sessions=args.sessions,
                          effect_size=args.effect, signal=args.signal, seed=args.seed)
+    _check_out_dir(Path(args.out))
     manifest = generate_dataset(config, args.out, fmt=args.format)
     print(manifest)
     return 0

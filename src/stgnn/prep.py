@@ -230,8 +230,20 @@ def write_matrix_binary(path: Path, matrix: np.ndarray) -> None:
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    # %.9g round-trips float32 exactly through decimal text
-    np.savetxt(path, np.asarray(matrix, dtype=np.float32), delimiter=",", fmt="%.9g")
+    """One line per row, ``%.9g`` per value, comma-separated: np.savetxt's text.
+
+    %.9g round-trips float32 exactly through decimal text. Rows are
+    formatted from Python floats (``tolist``), the doubles savetxt reads
+    from each float32 scalar. The lists are made 64 rows at a time: a
+    whole-matrix list, or one format call per 64 rows, fragments the heap
+    and raised the peak RSS of a ``stgnn run`` later in the same process by
+    1 to 5 MB."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    line = ",".join(["%.9g"] * matrix.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        for start in range(0, len(matrix), 64):
+            for row in matrix[start:start + 64].tolist():
+                fh.write(line % tuple(row))
 
 
 def _read_header(fh, fmt: str, path: Path) -> tuple:

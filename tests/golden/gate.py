@@ -1,20 +1,22 @@
-"""Check that two checkouts write byte-identical outputs on the gate runs.
+"""Check that two checkouts write byte-identical datasets and gate-run outputs.
 
     python tests/golden/gate.py PARENT CHANGE
 
 PARENT and CHANGE are checkout directories, each holding a ``src/`` (for
-example ``git archive <commit> | tar -x -C DIR``). The gate dataset is
-synthesized once, with PARENT's code: 40 subjects x 4 sessions x 20 nodes x
-160 steps, seed 7. Each gate run then runs with each checkout's ``src/`` on
-that one data path, as ``run --grid-fast --folds 5 --seed 7 --no-timestamp``:
-``mean_CNN``, ``mean_CNN_GCN5``, ``diff5_TCN``, ``diff5_TCN`` with aux link
-weight 1 and entropy weight 0.5, ``logreg``, ``logreg_bin``, ``logreg --splits
-64`` and ``mean_CNN_GCN5 --jobs 2``. The runs are serial and share this
-process's environment (BLAS thread variables included), so both sides run
-alike. Each run's ``results.json`` and ROC CSVs are compared byte for byte.
-Prints one line per run and exits 1, listing every file that differs and
-every run that failed, unless all are identical. Outputs go to a temporary
-directory that is removed at the end.
+example ``git archive <commit> | tar -x -C DIR``). First each checkout
+synthesizes the gate dataset, 40 subjects x 4 sessions x 20 nodes x 160
+steps, seed 7, in ``bin`` and in ``csv``, and the two sides' trees (session
+matrices and manifest) are compared byte for byte. Then each gate run runs
+with each checkout's ``src/`` on PARENT's ``bin`` dataset, as ``run
+--grid-fast --folds 5 --seed 7 --no-timestamp``: ``mean_CNN``,
+``mean_CNN_GCN5``, ``diff5_TCN``, ``diff5_TCN`` with aux link weight 1 and
+entropy weight 0.5, ``logreg``, ``logreg_bin``, ``logreg --splits 64`` and
+``mean_CNN_GCN5 --jobs 2``. The runs are serial and share this process's
+environment (BLAS thread variables included), so both sides run alike. Each
+run's ``results.json`` and ROC CSVs are compared byte for byte. Prints one
+line per dataset and run and exits 1, listing every file that differs and
+every command that failed, unless all are identical. Outputs go to a
+temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -49,15 +51,41 @@ def stgnn(checkout: Path, workdir: Path, *args: str) -> subprocess.CompletedProc
                           capture_output=True, text=True)
 
 
-def outputs(out: Path) -> set[str]:
+def run_outputs(out: Path) -> set[str]:
     return {path.name for path in out.glob("roc_*.csv")} | {"results.json"}
 
 
-def differing(parent_out: Path, change_out: Path) -> list[str]:
-    """The output files that are missing on a side or differ in any byte."""
-    return [name for name in sorted(outputs(parent_out) | outputs(change_out))
+def tree_files(root: Path) -> set[str]:
+    return {path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file()}
+
+
+def differing(parent_out: Path, change_out: Path, listed=run_outputs) -> list[str]:
+    """The files ``listed`` names on either side that are missing on a side or
+    differ in any byte."""
+    return [name for name in sorted(listed(parent_out) | listed(change_out))
             if not ((parent_out / name).is_file() and (change_out / name).is_file()
                     and (parent_out / name).read_bytes() == (change_out / name).read_bytes())]
+
+
+def compare(checkouts: list[Path], workdir: Path, label: str, args: tuple[str, ...],
+            listed=run_outputs) -> list[str]:
+    """Run one command with each checkout, writing to ``<side>/<label>`` under
+    ``workdir``. Prints one line; returns the failed sides and the files that
+    differ."""
+    outs, seconds, problems = [], [], []
+    for side, checkout in zip(("parent", "change"), checkouts):
+        out = workdir / side / label
+        started = time.perf_counter()
+        done = stgnn(checkout, workdir, *args, "--out", str(out))
+        seconds.append(time.perf_counter() - started)
+        if done.returncode:
+            problems.append(f"{side} {label} failed: {done.stderr.strip()}")
+        outs.append(out)
+    files = [f"{label}/{file}" for file in differing(*outs, listed=listed)]
+    verdict = "identical" if not files else f"{len(files)} files differ"
+    print(f"{label:<20} {verdict:<16} parent {seconds[0]:6.1f} s, "
+          f"change {seconds[1]:6.1f} s", flush=True)
+    return problems + files
 
 
 def main(argv: list[str]) -> int:
@@ -69,26 +97,16 @@ def main(argv: list[str]) -> int:
     problems: list[str] = []
     with tempfile.TemporaryDirectory(prefix="stgnn-gate-") as tmp:
         workdir = Path(tmp)
-        synth = stgnn(checkouts[0], workdir, *SYNTH, "--out", str(workdir / "data"))
-        if synth.returncode:
-            print(f"synth failed:\n{synth.stderr}", file=sys.stderr)
-            return 1
-        manifest = str(workdir / "data" / "manifest.json")
-        for name, args in GATE_RUNS.items():
-            outs, seconds = [], []
-            for side, checkout in zip(("parent", "change"), checkouts):
-                out = workdir / side / name
-                started = time.perf_counter()
-                done = stgnn(checkout, workdir, *RUN, *args, "--data", manifest, "--out", str(out))
-                seconds.append(time.perf_counter() - started)
-                if done.returncode:
-                    problems.append(f"{side} {name} failed: {done.stderr.strip()}")
-                outs.append(out)
-            files = [f"{name}/{file}" for file in differing(*outs)]
-            problems += files
-            verdict = "identical" if not files else f"{len(files)} files differ"
-            print(f"{name:<20} {verdict:<16} parent {seconds[0]:6.1f} s, "
-                  f"change {seconds[1]:6.1f} s", flush=True)
+        for fmt in ("bin", "csv"):
+            problems += compare(checkouts, workdir, f"synth_{fmt}", (*SYNTH, "--format", fmt),
+                                listed=tree_files)
+        manifest = workdir / "parent" / "synth_bin" / "manifest.json"
+        if manifest.is_file():
+            for name, args in GATE_RUNS.items():
+                problems += compare(checkouts, workdir, name,
+                                    (*RUN, *args, "--data", str(manifest)))
+        else:
+            problems.append("no gate runs: the parent's synth wrote no bin dataset")
     for problem in problems:
         print(f"DIFFERENT: {problem}")
     print("byte-identical" if not problems else f"{len(problems)} problems")

@@ -57,6 +57,37 @@ def test_synth_rejects_bad_config(tmp_path, capsys):
     assert err["error"] == "ConfigError"
 
 
+def _synth_error(out, capsys):
+    code = run_cli("synth", "--subjects", 2, "--nodes", 2, "--length", 32, "--out", out)
+    captured = capsys.readouterr().err
+    assert code == 1
+    assert len(captured.splitlines()) == 1 and "Traceback" not in captured
+    err = json.loads(captured)
+    assert err["error"] == "ConfigError"
+    return err["message"]
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_synth_refuses_an_out_that_is_a_file_before_writing(tmp_path, capsys, below):
+    (tmp_path / "afile").write_text("kept\n")
+    out = tmp_path / "afile" / "sub" if below else tmp_path / "afile"
+    message = _synth_error(out, capsys)
+    assert f"{tmp_path / 'afile'} exists and is not a directory" in message
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+@pytest.mark.parametrize("blocker", ["matrices", "manifest.json"])
+def test_synth_reports_a_failed_write_with_the_path(tmp_path, capsys, blocker):
+    # a file where the matrix directory goes, or a directory where the manifest goes
+    if blocker == "matrices":
+        (tmp_path / blocker).write_text("")
+    else:
+        (tmp_path / blocker).mkdir()
+    message = _synth_error(tmp_path, capsys)
+    assert message.startswith(f"cannot write {tmp_path / blocker}")
+
+
 @pytest.mark.parametrize("model,length,expected", [
     ("mean_CNN", 1200, "1248545"),
     ("mean_CNN_GCN", 1200, "1314337"),

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,21 @@ def test_dataset_bytes_are_deterministic(tmp_path):
     for f1 in sorted((tmp_path / "a" / "matrices").iterdir()):
         f2 = tmp_path / "b" / "matrices" / f1.name
         assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_generate_dataset_holds_one_subject_at_a_time(tmp_path, fmt):
+    # 60 subjects x 2 sessions x 200 steps x 10 nodes of float32 is 960 KB;
+    # written one subject at a time, the traced peak stays near one subject
+    config = SynthConfig(n_subjects=60, n_nodes=10, session_length=200, n_sessions=2, seed=1)
+    generate_dataset(small_config(n_subjects=2), tmp_path / "warm", fmt=fmt)  # one-time costs
+    tracemalloc.start()
+    try:
+        generate_dataset(config, tmp_path / "ds", fmt=fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2 * 200 * 10 * 4 / 4
 
 
 # pinned bytes ---------------------------------------------------------------------
